@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 
-	"repro/internal/bitpack"
 	"repro/internal/frame"
 	"repro/internal/region"
 )
@@ -16,14 +15,15 @@ import (
 //
 //   - memory-mapped registers hold the y-sorted region label list
 //     (SetRegionLabels);
-//   - a Sequencer tracks the (row, pixel) location — here the PushRow /
-//     per-pixel loop;
+//   - a Sequencer tracks the row location — here the PushRow loop;
 //   - once per row, the RoI Selector reduces the label list to the sublist
 //     whose y-range covers the row;
-//   - once per pixel, the Comparison Engine classifies the pixel into one of
-//     the four EncMask codes;
+//   - the Comparison Engine classifies the row's pixels into the four
+//     EncMask codes, span by span from the sublist;
 //   - the Sampler forwards CodeR pixels to the packed output and the
 //     metadata generators count per-row offsets and append EncMask codes.
+//
+// The last three stages are the rowEncoder shared with ParallelEncoder.
 //
 // Pixels are classified with code precedence R > Sk > St > N (the numeric
 // order of the 2-bit codes): a pixel covered by several regions takes the
@@ -38,10 +38,9 @@ type Encoder struct {
 	labels region.List // y-sorted; the "memory-mapped register" contents
 
 	// Per-frame streaming state.
-	cur      *EncodedFrame
-	row      int
-	rowCodes []bitpack.Code // scratch: classification of the current row
-	sublist  []int          // scratch: RoI Selector output (indices into labels)
+	cur *EncodedFrame
+	row int
+	re  *rowEncoder // per-row datapath and its scratch
 
 	pool *FramePool // optional frame recycling; nil means allocate fresh
 
@@ -62,11 +61,13 @@ type EncoderStats struct {
 	// RoISelectorCompares counts y-range label examinations (once per row
 	// per examined label; the sorted list allows early termination).
 	RoISelectorCompares int
-	// RegionPaintOps counts per-pixel classification writes while painting
-	// row sublist regions (proportional to regional coverage, not W·regions).
+	// RegionPaintOps is the comparison-engine model's work count: the
+	// summed widths of each row's sublist regions (proportional to
+	// regional coverage, not W·regions). It is not a count of the byte
+	// writes the software encoder performs.
 	RegionPaintOps int
 	// RowsWithNoRegions counts rows where the RoI selector emitted an empty
-	// sublist and per-pixel comparison was skipped entirely.
+	// sublist and comparison was skipped entirely.
 	RowsWithNoRegions int
 }
 
@@ -76,11 +77,11 @@ func NewEncoder(w, h int, format frame.Format) *Encoder {
 		panic(fmt.Sprintf("core: invalid encoder dimensions %dx%d", w, h))
 	}
 	return &Encoder{
-		w:        w,
-		h:        h,
-		format:   format,
-		bpp:      formatBPP(format),
-		rowCodes: make([]bitpack.Code, w),
+		w:      w,
+		h:      h,
+		format: format,
+		bpp:    formatBPP(format),
+		re:     newRowEncoder(w, formatBPP(format)),
 	}
 }
 
@@ -135,39 +136,9 @@ func (e *Encoder) PushRow(line []byte) {
 		panic(fmt.Sprintf("core: row is %d bytes, want %d", len(line), e.w*e.bpp))
 	}
 	y := e.row
-	e.stats.RowsProcessed++
-	e.stats.PixelsIn += e.w
-
-	e.sublist = rowSublist(e.labels, y, e.sublist, &e.stats)
-
-	maskBase := y * e.w
-	if len(e.sublist) == 0 {
-		// Entire row is non-regional: skip per-pixel comparison entirely
-		// (the paper's "the encoder saves work by skipping region
-		// comparison entirely for those rows where there are no regions").
-		e.stats.RowsWithNoRegions++
-		e.cur.RowOffsets = append(e.cur.RowOffsets, e.cur.RowOffsets[y])
-		e.row++
-		return
-	}
-
-	codes := e.rowCodes
-	paintRowCodes(e.labels, e.sublist, codes, y, e.cur.FrameIndex, &e.stats)
-
-	// Sampler: forward CodeR pixels and emit metadata.
-	count := 0
-	for x := 0; x < e.w; x++ {
-		c := codes[x]
-		if c != bitpack.CodeN {
-			e.cur.Mask.Set(maskBase+x, c)
-		}
-		if c == bitpack.CodeR {
-			e.cur.Pix = append(e.cur.Pix, line[x*e.bpp:(x+1)*e.bpp]...)
-			count++
-		}
-	}
-	e.stats.PixelsOut += count
-	e.cur.RowOffsets = append(e.cur.RowOffsets, e.cur.RowOffsets[y]+uint32(count))
+	var n int
+	e.cur.Pix, n = e.re.encodeRow(e.labels, y, e.cur.FrameIndex, line, e.cur.Mask.Bytes(), e.cur.Pix, &e.stats)
+	e.cur.RowOffsets = append(e.cur.RowOffsets, e.cur.RowOffsets[y]+uint32(n))
 	e.row++
 }
 
@@ -184,67 +155,6 @@ func (e *Encoder) EndFrame() *EncodedFrame {
 	e.cur = nil
 	e.stats.FramesEncoded++
 	return ef
-}
-
-// rowSublist is the RoI Selector (§4.1) in function form: it fills dst with
-// the indices of labels whose y-range covers row y. The list must be
-// y-sorted, so scanning stops at the first label starting below the row. It
-// is shared by the sequential Encoder (the reference implementation) and the
-// row-band workers of ParallelEncoder; any change here changes both.
-func rowSublist(labels region.List, y int, dst []int, stats *EncoderStats) []int {
-	dst = dst[:0]
-	for i, l := range labels {
-		stats.RoISelectorCompares++
-		if l.Y > y {
-			break
-		}
-		if l.RowInYRange(y) {
-			dst = append(dst, i)
-		}
-	}
-	return dst
-}
-
-// paintRowCodes is the Comparison Engine (§4.1) in function form: it paints
-// row y's classification into codes (length frame-width) from the sublist.
-// Painting per region interval costs O(sum of region widths) rather than
-// O(W x regions); the R/St lattice distinction is a cheap modulo. Pixels are
-// classified with code precedence R > Sk > St > N. Shared by the sequential
-// and parallel encoders.
-func paintRowCodes(labels region.List, sublist []int, codes []bitpack.Code, y, frameIndex int, stats *EncoderStats) {
-	for i := range codes {
-		codes[i] = bitpack.CodeN
-	}
-	for _, li := range sublist {
-		l := labels[li]
-		x1 := l.X + l.W
-		switch {
-		case !l.ActiveAt(frameIndex):
-			for x := l.X; x < x1; x++ {
-				stats.RegionPaintOps++
-				if codes[x] < bitpack.CodeSk {
-					codes[x] = bitpack.CodeSk
-				}
-			}
-		case l.Stride > 1 && (y-l.Y)%l.Stride != 0:
-			// Row off the vertical stride lattice: all pixels strided.
-			for x := l.X; x < x1; x++ {
-				stats.RegionPaintOps++
-				if codes[x] < bitpack.CodeSt {
-					codes[x] = bitpack.CodeSt
-				}
-			}
-		default:
-			for x := l.X; x < x1; x++ {
-				stats.RegionPaintOps++
-				if l.Stride <= 1 || (x-l.X)%l.Stride == 0 {
-					codes[x] = bitpack.CodeR
-				} else if codes[x] < bitpack.CodeSt {
-					codes[x] = bitpack.CodeSt
-				}
-			}
-		}
-	}
 }
 
 // EncodeFrame streams an entire frame through the encoder and returns the

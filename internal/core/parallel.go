@@ -5,7 +5,6 @@ import (
 	"runtime"
 	"sync"
 
-	"repro/internal/bitpack"
 	"repro/internal/frame"
 	"repro/internal/region"
 )
@@ -24,7 +23,7 @@ import (
 // 2-bit codes per byte, so a band boundary at a multiple of four rows sits
 // at element index y*w ≡ 0 (mod 4) — a byte boundary for any frame width —
 // and every worker owns a disjoint byte range of the shared mask, keeping
-// concurrent Mask.Set read-modify-writes race-free.
+// the sampler's concurrent read-modify-writes race-free.
 const bandAlign = 4
 
 // ParallelEncoder encodes frames by sharding rows across a pool of workers.
@@ -51,11 +50,10 @@ type ParallelEncoder struct {
 // encodeWorker holds one band worker's reusable scratch, so steady-state
 // encoding allocates only the output frame.
 type encodeWorker struct {
-	rowCodes []bitpack.Code
-	sublist  []int
-	payload  []byte   // packed CodeR pixels of the band, raster order
-	counts   []uint32 // per-row CodeR pixel counts within the band
-	stats    EncoderStats
+	re      *rowEncoder
+	payload []byte   // packed CodeR pixels of the band, raster order
+	counts  []uint32 // per-row CodeR pixel counts within the band
+	stats   EncoderStats
 }
 
 // NewParallelEncoder returns an encoder for w x h frames of the given
@@ -79,7 +77,7 @@ func NewParallelEncoder(w, h int, format frame.Format, n int) *ParallelEncoder {
 	}
 	p.workers = make([]*encodeWorker, len(p.bands))
 	for i := range p.workers {
-		p.workers[i] = &encodeWorker{rowCodes: make([]bitpack.Code, w)}
+		p.workers[i] = &encodeWorker{re: newRowEncoder(w, p.bpp)}
 	}
 	return p
 }
@@ -203,30 +201,8 @@ func (p *ParallelEncoder) encodeBand(w *encodeWorker, fr *frame.Frame, ef *Encod
 	w.stats = EncoderStats{}
 
 	for y := y0; y < y1; y++ {
-		w.stats.RowsProcessed++
-		w.stats.PixelsIn += p.w
-		w.sublist = rowSublist(p.labels, y, w.sublist, &w.stats)
-		if len(w.sublist) == 0 {
-			w.stats.RowsWithNoRegions++
-			w.counts[y-y0] = 0
-			continue
-		}
-		paintRowCodes(p.labels, w.sublist, w.rowCodes, y, frameIndex, &w.stats)
-
-		line := fr.Pix[y*stride : (y+1)*stride]
-		maskBase := y * p.w
-		count := 0
-		for x := 0; x < p.w; x++ {
-			c := w.rowCodes[x]
-			if c != bitpack.CodeN {
-				ef.Mask.Set(maskBase+x, c)
-			}
-			if c == bitpack.CodeR {
-				w.payload = append(w.payload, line[x*p.bpp:(x+1)*p.bpp]...)
-				count++
-			}
-		}
-		w.stats.PixelsOut += count
-		w.counts[y-y0] = uint32(count)
+		var n int
+		w.payload, n = w.re.encodeRow(p.labels, y, frameIndex, fr.Pix[y*stride:(y+1)*stride], ef.Mask.Bytes(), w.payload, &w.stats)
+		w.counts[y-y0] = uint32(n)
 	}
 }

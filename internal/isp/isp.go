@@ -42,52 +42,65 @@ func (g *Gamma) Apply(fr *frame.Frame) {
 
 // Demosaic converts a BayerRGGB mosaic to RGB24 with bilinear interpolation
 // using a 3-line neighborhood — the classic line-buffered hardware approach.
+// Out-of-frame neighbours replicate the nearest edge pixel.
 func Demosaic(bayer *frame.Frame) (*frame.Frame, error) {
 	if bayer.Format != frame.BayerRGGB {
 		return nil, fmt.Errorf("isp: demosaic input is %v, want BayerRGGB", bayer.Format)
 	}
+	return demosaic(bayer), nil
+}
+
+func demosaic(bayer *frame.Frame) *frame.Frame {
+	w := bayer.W
+	out := frame.New(w, bayer.H, frame.RGB24)
+	for y := 0; y < bayer.H; y++ {
+		demosaicRow(out.Pix[y*w*3:(y+1)*w*3], bayer, y)
+	}
+	return out
+}
+
+// demosaicRow interpolates mosaic row y into the RGB24 row dst from a
+// 3-line window whose rows above and below clamp to the frame. Even rows
+// alternate R,G sites and odd rows G,B; a row's own chroma is R on even rows
+// and B on odd rows, so the two row parities differ only in which output
+// channel receives it. The two border columns clamp their horizontal
+// neighbours; the interior loop needs no clamps.
+func demosaicRow(dst []byte, bayer *frame.Frame, y int) {
 	w, h := bayer.W, bayer.H
-	out := frame.New(w, h, frame.RGB24)
-	at := func(x, y int) int {
-		if x < 0 {
-			x = 0
-		} else if x >= w {
-			x = w - 1
-		}
-		if y < 0 {
-			y = 0
-		} else if y >= h {
-			y = h - 1
-		}
-		return int(bayer.Pix[y*w+x])
+	up, dn := max(y-1, 0), min(y+1, h-1)
+	u, c, n := bayer.Pix[up*w:(up+1)*w], bayer.Pix[y*w:(y+1)*w], bayer.Pix[dn*w:(dn+1)*w]
+	yParity := y & 1
+	ownCh, otherCh := 0, 2
+	if yParity == 1 {
+		ownCh, otherCh = 2, 0
 	}
-	for y := 0; y < h; y++ {
-		for x := 0; x < w; x++ {
-			var r, g, b int
-			evenRow, evenCol := y%2 == 0, x%2 == 0
-			switch {
-			case evenRow && evenCol: // R site
-				r = at(x, y)
-				g = (at(x-1, y) + at(x+1, y) + at(x, y-1) + at(x, y+1)) / 4
-				b = (at(x-1, y-1) + at(x+1, y-1) + at(x-1, y+1) + at(x+1, y+1)) / 4
-			case !evenRow && !evenCol: // B site
-				b = at(x, y)
-				g = (at(x-1, y) + at(x+1, y) + at(x, y-1) + at(x, y+1)) / 4
-				r = (at(x-1, y-1) + at(x+1, y-1) + at(x-1, y+1) + at(x+1, y+1)) / 4
-			case evenRow: // G site on R row: R horizontal, B vertical
-				g = at(x, y)
-				r = (at(x-1, y) + at(x+1, y)) / 2
-				b = (at(x, y-1) + at(x, y+1)) / 2
-			default: // G site on B row: B horizontal, R vertical
-				g = at(x, y)
-				b = (at(x-1, y) + at(x+1, y)) / 2
-				r = (at(x, y-1) + at(x, y+1)) / 2
-			}
-			p := out.Pixel(x, y)
-			p[0], p[1], p[2] = uint8(r), uint8(g), uint8(b)
-		}
+	at := func(x, l, r int) {
+		own, g, other := demosaicAt(u, c, n, x, l, r, x&1 == yParity)
+		p := dst[3*x : 3*x+3]
+		p[ownCh], p[1], p[otherCh] = uint8(own), uint8(g), uint8(other)
 	}
-	return out, nil
+	last := len(c) - 1
+	at(0, 0, min(1, last))
+	for x := 1; x < last; x++ {
+		at(x, x-1, x+1)
+	}
+	if last > 0 {
+		at(last, last-1, last)
+	}
+}
+
+// demosaicAt interpolates column x of row c from its neighbour columns l and
+// r. At a chroma site the own chroma is sampled, green averages the four
+// cross neighbours and the other chroma the four diagonals; at a green site
+// the own chroma averages the horizontal pair and the other chroma the
+// vertical pair.
+func demosaicAt(u, c, n []byte, x, l, r int, chromaSite bool) (own, g, other int) {
+	if chromaSite {
+		return int(c[x]),
+			(int(c[l]) + int(c[r]) + int(u[x]) + int(n[x])) / 4,
+			(int(u[l]) + int(u[r]) + int(n[l]) + int(n[r])) / 4
+	}
+	return (int(c[l]) + int(c[r])) / 2, int(c[x]), (int(u[x]) + int(n[x])) / 2
 }
 
 // RGBToYUV444 converts RGB24 to YUV444 with BT.601 full-range coefficients.
@@ -131,7 +144,8 @@ func clampInt(v, lo, hi int) int {
 }
 
 // Pipeline chains the ISP stages the paper's platform uses and accounts for
-// processing throughput at the configured pixels-per-clock rate.
+// processing throughput at the configured pixels-per-clock rate. A Pipeline
+// is not safe for concurrent use.
 type Pipeline struct {
 	// AE, when non-nil, runs mean-luma auto-exposure on the demosaiced
 	// frame (before gamma, as hardware AE operates on linear data).
@@ -141,13 +155,16 @@ type Pipeline struct {
 	// GammaStage is applied after demosaicing; nil disables it.
 	GammaStage *Gamma
 	// OutputGray selects luma-only output (what the vision workloads
-	// consume); otherwise the pipeline emits YUV444.
+	// consume), taken straight from the gamma-corrected RGB; otherwise the
+	// pipeline emits YUV444. Without AE and AWB, gray output streams row
+	// by row and never holds a whole RGB frame.
 	OutputGray bool
 	// PixelsPerClock and ClockHz model stage throughput.
 	PixelsPerClock int
 	ClockHz        float64
 
 	pixelsProcessed int64
+	line            []byte // RGB24 line buffer of the streaming gray path
 }
 
 // NewPipeline returns the default pipeline: demosaic, gamma 2.2, gray
@@ -160,10 +177,29 @@ func NewPipeline() *Pipeline {
 
 // Process runs a Bayer frame through the pipeline.
 func (p *Pipeline) Process(bayer *frame.Frame) (*frame.Frame, error) {
-	rgb, err := Demosaic(bayer)
-	if err != nil {
-		return nil, err
+	if bayer.Format != frame.BayerRGGB {
+		return nil, fmt.Errorf("isp: demosaic input is %v, want BayerRGGB", bayer.Format)
 	}
+	w, h := bayer.W, bayer.H
+	p.pixelsProcessed += int64(w * h)
+	lut := &identityLUT
+	if p.GammaStage != nil {
+		lut = &p.GammaStage.lut
+	}
+	if p.OutputGray && !p.AWB && p.AE == nil {
+		// No stage needs whole-frame statistics: demosaic one row at a
+		// time into a line buffer and take its luma straight away.
+		if len(p.line) != 3*w {
+			p.line = make([]byte, 3*w)
+		}
+		out := frame.New(w, h, frame.Gray8)
+		for y := 0; y < h; y++ {
+			demosaicRow(p.line, bayer, y)
+			gammaLuma(out.Pix[y*w:(y+1)*w], p.line, lut)
+		}
+		return out, nil
+	}
+	rgb := demosaic(bayer)
 	if p.AWB {
 		if err := GrayWorldAWB(rgb); err != nil {
 			return nil, err
@@ -172,19 +208,36 @@ func (p *Pipeline) Process(bayer *frame.Frame) (*frame.Frame, error) {
 	if p.AE != nil {
 		p.AE.Process(rgb)
 	}
+	if p.OutputGray {
+		out := frame.New(w, h, frame.Gray8)
+		gammaLuma(out.Pix, rgb.Pix, lut)
+		return out, nil
+	}
 	if p.GammaStage != nil {
 		p.GammaStage.Apply(rgb)
 	}
-	p.pixelsProcessed += int64(bayer.W * bayer.H)
-	yuv, err := RGBToYUV444(rgb)
-	if err != nil {
-		return nil, err
-	}
-	if p.OutputGray {
-		return YUVToGray(yuv)
-	}
-	return yuv, nil
+	return RGBToYUV444(rgb)
 }
+
+// gammaLuma writes into dst the BT.601 luma of the gamma-corrected RGB24
+// pixels src: the Y channel RGBToYUV444 would produce after the gamma
+// stage, without building the YUV444 frame.
+func gammaLuma(dst, src []byte, lut *[256]uint8) {
+	for i := range dst {
+		p := src[3*i : 3*i+3]
+		r, g, b := int(lut[p[0]]), int(lut[p[1]]), int(lut[p[2]])
+		// Never outside [0, 255]: the weights sum to 1000.
+		dst[i] = uint8((299*r + 587*g + 114*b + 500) / 1000)
+	}
+}
+
+// identityLUT stands in for a disabled gamma stage.
+var identityLUT = func() (t [256]uint8) {
+	for i := range t {
+		t[i] = uint8(i)
+	}
+	return t
+}()
 
 // PixelsProcessed returns the cumulative pixel count.
 func (p *Pipeline) PixelsProcessed() int64 { return p.pixelsProcessed }

@@ -61,12 +61,12 @@ func (p Packet) WireBytes() int {
 	return LongPacketHeaderBytes + p.PayloadBytes + LongPacketFooterBytes
 }
 
-// crc16CSI computes the CRC-16 used by CSI-2 payload checksums
-// (polynomial x^16 + x^12 + x^5 + 1, CCITT, reflected, init 0xFFFF).
-func crc16CSI(data []byte) uint16 {
-	crc := uint16(0xFFFF)
-	for _, b := range data {
-		crc ^= uint16(b)
+// crc16Table is the byte-at-a-time table for the reflected CCITT
+// polynomial 0x8408: entry b is the CRC register after shifting byte b
+// through eight bit-serial steps from zero.
+var crc16Table = func() (t [256]uint16) {
+	for b := range t {
+		crc := uint16(b)
 		for i := 0; i < 8; i++ {
 			if crc&1 != 0 {
 				crc = (crc >> 1) ^ 0x8408
@@ -74,6 +74,18 @@ func crc16CSI(data []byte) uint16 {
 				crc >>= 1
 			}
 		}
+		t[b] = crc
+	}
+	return t
+}()
+
+// crc16CSI computes the CRC-16 used by CSI-2 payload checksums
+// (polynomial x^16 + x^12 + x^5 + 1, CCITT, reflected, init 0xFFFF), one
+// table lookup per byte.
+func crc16CSI(data []byte) uint16 {
+	crc := uint16(0xFFFF)
+	for _, b := range data {
+		crc = crc>>8 ^ crc16Table[byte(crc)^b]
 	}
 	return crc
 }

@@ -72,43 +72,29 @@ func (s *Sensor) Capture(scene *frame.Frame) (*frame.Frame, error) {
 	if scene.W != s.cfg.W || scene.H != s.cfg.H {
 		return nil, fmt.Errorf("sensor: scene is %dx%d, sensor is %dx%d", scene.W, scene.H, s.cfg.W, s.cfg.H)
 	}
-	out := frame.New(s.cfg.W, s.cfg.H, frame.BayerRGGB)
+	w, bpp := s.cfg.W, scene.BytesPerPixel()
+	gain, sigma := s.cfg.AnalogGain, s.cfg.ReadNoiseSigma
+	out := frame.New(w, s.cfg.H, frame.BayerRGGB)
 	for y := 0; y < s.cfg.H; y++ {
-		for x := 0; x < s.cfg.W; x++ {
-			var v float64
-			switch scene.Format {
-			case frame.RGB24:
-				p := scene.Pixel(x, y)
-				switch bayerChannel(x, y) {
-				case 0:
-					v = float64(p[0])
-				case 1:
-					v = float64(p[1])
-				default:
-					v = float64(p[2])
-				}
-			default:
-				v = float64(scene.Gray(x, y))
-			}
-			v = v*s.cfg.AnalogGain + s.rng.NormFloat64()*s.cfg.ReadNoiseSigma
-			out.Pix[y*s.cfg.W+x] = clamp255(v)
+		src := scene.Pix[y*w*bpp : (y+1)*w*bpp]
+		dst := out.Pix[y*w : (y+1)*w]
+		// Channel sampled at even and odd columns: RGGB puts R,G on even
+		// rows and G,B on odd rows; single-channel scenes (and the Y of
+		// YUV444) read byte 0 of every pixel.
+		c0, c1 := 0, 0
+		if scene.Format == frame.RGB24 {
+			c0 = y & 1
+			c1 = c0 + 1
+		}
+		// Width is even (New rejects odd mosaics), so columns pair up;
+		// noise is drawn in raster order.
+		for x := 0; x < w; x += 2 {
+			dst[x] = clamp255(float64(src[x*bpp+c0])*gain + s.rng.NormFloat64()*sigma)
+			dst[x+1] = clamp255(float64(src[(x+1)*bpp+c1])*gain + s.rng.NormFloat64()*sigma)
 		}
 	}
 	s.framesCaptured++
 	return out, nil
-}
-
-// bayerChannel returns 0 for red, 1 for green, 2 for blue sites in an RGGB
-// tiling.
-func bayerChannel(x, y int) int {
-	switch {
-	case y%2 == 0 && x%2 == 0:
-		return 0 // R
-	case y%2 == 1 && x%2 == 1:
-		return 2 // B
-	default:
-		return 1 // G
-	}
 }
 
 // Stream delivers a captured frame line by line in raster order, the only

@@ -88,7 +88,7 @@ type Config struct {
 	// and PMMU traffic counters). Registration happens once in NewManager.
 	Metrics *obs.Registry
 	// Trace, when non-nil, records every session's frame-path spans
-	// (classify → pack → push → decode) tagged with the session id.
+	// (commit → encode → push → decode) tagged with the session id.
 	Trace *obs.Tracer
 }
 

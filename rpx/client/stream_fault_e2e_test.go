@@ -100,7 +100,10 @@ func drainUntilFault(t *testing.T, st *client.Stream, want [][]byte) (int, error
 // untouched pushes byte-perfect and then a transport error that poisons the
 // session — never a short or mangled frame surfaced as data.
 func TestStreamFaultScriptedCuts(t *testing.T) {
-	const w, h, frames = 48, 32, 8
+	// The pusher packs up to Batch frames a push, so a fast producer can
+	// fold `frames` into frames/Batch pushes; 16 frames at Batch 4 still
+	// make at least four, so the 3rd push the rule targets always exists.
+	const w, h, frames = 48, 32, 16
 	cuts := []struct {
 		name string
 		rule faultnet.Rule

@@ -35,29 +35,32 @@ stage_tier1() {
 
 # ---------------------------------------------------------------- alloc
 
-# The steady-state zero-allocation contracts of the pooled hot path (mask
-# popcount, pooled encode, wire framing, capture). Deliberately WITHOUT
+# The steady-state allocation contracts of the pooled hot path (mask
+# popcount, pooled encode, ISP frames, wire framing, capture). Deliberately WITHOUT
 # -race — the race runtime changes allocation counts, so these
 # testing.AllocsPerRun assertions are only meaningful in a plain build.
 stage_alloc() {
     echo "== alloc gate (AllocsPerRun, no -race)"
     go test -count=1 -run='^TestAllocs' \
-        ./internal/bitpack ./internal/core ./internal/wire ./rpx
+        ./internal/bitpack ./internal/core ./internal/isp ./internal/wire ./rpx
 }
 
 # ----------------------------------------------------------------- fuzz
 
-# A short budget per untrusted decode surface. Regressions the fuzzer
-# finds land in testdata/fuzz/ seed corpora, which tier1's -race run then
-# replays forever after.
+# A short budget per untrusted decode surface, plus the span-fill encoder
+# against its per-pixel reference. Regressions the fuzzer finds land in
+# testdata/fuzz/ seed corpora, which tier1's -race run then replays forever
+# after.
 stage_fuzz() {
     FUZZTIME="${FUZZTIME:-10s}"
     echo "== fuzz smoke (${FUZZTIME} per target)"
     go test -run='^$' -fuzz='^FuzzReadMessage$' -fuzztime="$FUZZTIME" ./internal/wire
     go test -run='^$' -fuzz='^FuzzReadSubscribe$' -fuzztime="$FUZZTIME" ./internal/wire
     go test -run='^$' -fuzz='^FuzzReadFramePush$' -fuzztime="$FUZZTIME" ./internal/wire
+    go test -run='^$' -fuzz='^FuzzReadStreamLabels$' -fuzztime="$FUZZTIME" ./internal/wire
     go test -run='^$' -fuzz='^FuzzReadEncodedFrame$' -fuzztime="$FUZZTIME" ./internal/core
     go test -run='^$' -fuzz='^FuzzStreamReader$' -fuzztime="$FUZZTIME" ./internal/core
+    go test -run='^$' -fuzz='^FuzzEncodeRows$' -fuzztime="$FUZZTIME" ./internal/core
     go test -run='^$' -fuzz='^FuzzMaskCodec$' -fuzztime="$FUZZTIME" ./internal/bitpack
 }
 
