@@ -13,11 +13,10 @@ import (
 // encoded frames" (§4.2.1).
 const DefaultHistoryDepth = 4
 
-// strideLookbackRows bounds how many rows above a requested window the
-// decoder pre-decodes to prime its line buffer, so that vertically strided
-// pixels at the top of a mid-frame window reconstruct correctly. The paper's
-// workloads use strides up to 4 (Table 4); 8 gives margin.
-const strideLookbackRows = 8
+// minBandRows is the shortest row band a parallel decode fans out: a band
+// spends a few warm-up rows priming its line buffer, so shorter bands would
+// spend more rows priming than producing.
+const minBandRows = 8
 
 // DecoderStats counts decode work and traffic for the evaluation harness.
 type DecoderStats struct {
@@ -71,6 +70,23 @@ type Decoder struct {
 	count   int
 	history []*EncodedFrame // newest first; view over ring
 	stats   DecoderStats
+
+	// bands holds one reusable decode scratch per row-band worker, so a
+	// decode allocates only its output frame once the buffers have grown.
+	bands []bandScratch
+}
+
+// bandScratch is one row band's decode state, reused across calls: a PMMU
+// re-pointed at the decoder's history each call, the FIFO sampler with its
+// line buffer, the full-width row buffer, the row's sub-requests, and the
+// band's statistics and error for the parallel path's merge.
+type bandScratch struct {
+	pmmu  PMMU
+	fifo  fifoSampler
+	row   []byte
+	subs  []SubRequest
+	stats DecoderStats
+	err   error
 }
 
 // DecoderOption configures a Decoder.
@@ -112,6 +128,7 @@ func NewDecoder(w, h int, format frame.Format, opts ...DecoderOption) *Decoder {
 	}
 	d.ring = make([]*EncodedFrame, d.depth)
 	d.history = make([]*EncodedFrame, 0, d.depth)
+	d.bands = make([]bandScratch, d.parallelism)
 	return d
 }
 
@@ -175,17 +192,17 @@ func (d *Decoder) DecodeFrame() (*frame.Frame, error) {
 // copied out — the same row-burst behaviour a DRAM-backed decoder has, and
 // the property that makes any window decode agree exactly with the
 // corresponding crop of a full-frame decode (strided pixels may hold values
-// that originate left of the window). When the window starts below the
-// frame top, up to strideLookbackRows rows above it are decoded into the
-// line buffer first (and discarded) so vertically strided pixels on the
-// window's first rows reconstruct from their source row; warm-up rows are
-// excluded from Stats.
+// that originate left of the window). When the window's first row reads the
+// line buffer, the rows above it back to the nearest row that does not are
+// decoded first (and discarded), so vertically strided pixels reconstruct
+// from their source row whatever the labels' vertical stride; warm-up rows
+// are excluded from Stats.
 // When the decoder was configured WithParallelism(n > 1), the window is
 // split into independent row-band sub-decodes that share the frame history
-// read-only; each band primes its own line buffer with the same lookback
-// warm-up, so the stitched result is byte-identical to the sequential path
-// and the accumulated statistics are too (each output row is charged
-// exactly once; warm-up rows are always discarded).
+// read-only; each band primes its own line buffer with the same warm-up, so
+// the stitched result is byte-identical to the sequential path and the
+// accumulated statistics are too (each output row is charged exactly once;
+// warm-up rows are always discarded).
 func (d *Decoder) DecodeWindow(x0, y0, w, h int) (*frame.Frame, error) {
 	if len(d.history) == 0 {
 		return nil, fmt.Errorf("core: decode before any encoded frame was pushed")
@@ -195,35 +212,26 @@ func (d *Decoder) DecodeWindow(x0, y0, w, h int) (*frame.Frame, error) {
 	}
 	out := frame.New(w, h, d.format)
 
-	// A band shorter than the warm-up lookback spends more rows priming
-	// than producing, so small requests stay sequential.
-	nb := min(d.parallelism, max(1, h/strideLookbackRows))
+	nb := min(d.parallelism, max(1, h/minBandRows))
 	if nb <= 1 {
-		if err := d.decodeBand(out, x0, y0, w, 0, h, &d.stats); err != nil {
+		if err := d.decodeBand(&d.bands[0], out, x0, y0, w, 0, h, &d.stats); err != nil {
 			return nil, err
 		}
 		return out, nil
 	}
 
 	rows := (h + nb - 1) / nb
-	type band struct {
-		r0, r1 int
-		stats  DecoderStats
-		err    error
-	}
-	bands := make([]band, 0, nb)
-	for r := 0; r < h; r += rows {
-		bands = append(bands, band{r0: r, r1: min(r+rows, h)})
-	}
+	bands := d.bands[:(h+rows-1)/rows]
 	var wg sync.WaitGroup
 	for i := range bands {
 		wg.Add(1)
-		go func(b *band) {
+		go func(b *bandScratch, r0 int) {
 			defer wg.Done()
 			// Bands write disjoint row ranges of out and read the shared
-			// history; each gets a private sampler, PMMU, and stats.
-			b.err = d.decodeBand(out, x0, y0, w, b.r0, b.r1, &b.stats)
-		}(&bands[i])
+			// history; each has its own sampler, PMMU, and stats.
+			b.stats = DecoderStats{}
+			b.err = d.decodeBand(b, out, x0, y0, w, r0, min(r0+rows, h), &b.stats)
+		}(&bands[i], i*rows)
 	}
 	wg.Wait()
 	for i := range bands {
@@ -236,44 +244,83 @@ func (d *Decoder) DecodeWindow(x0, y0, w, h int) (*frame.Frame, error) {
 }
 
 // decodeBand reconstructs output rows [r0, r1) of the window anchored at
-// (x0, y0): the sequential decode loop over one row band, with up to
-// strideLookbackRows of discarded warm-up rows above the band so vertically
+// (x0, y0) with band scratch b: the sequential decode loop over one row
+// band, preceded by discarded warm-up rows (see warmupStart) so vertically
 // strided pixels on its first rows reconstruct from their source row.
-func (d *Decoder) decodeBand(out *frame.Frame, x0, y0, w, r0, r1 int, stats *DecoderStats) error {
-	pmmu := NewPMMU(d.history, 0)
-	fifo := newFIFOSampler(d.bpp, d.w)
+func (d *Decoder) decodeBand(b *bandScratch, out *frame.Frame, x0, y0, w, r0, r1 int, stats *DecoderStats) error {
+	if b.row == nil {
+		b.row = make([]byte, d.w*d.bpp)
+		b.fifo = fifoSampler{
+			bpp:      d.bpp,
+			resample: make([]byte, d.bpp),
+			lineBuf:  make([]byte, d.w*d.bpp),
+		}
+	}
+	b.pmmu.history = d.history
+	b.fifo.lineOK = false // the line buffer still holds the previous call's last row
+	p := &b.pmmu
 
-	warmup := min(y0+r0, strideLookbackRows)
+	start, err := b.warmupStart(y0+r0, d.w)
+	if err != nil {
+		return err
+	}
 	var discard DecoderStats
-	rowBuf := make([]byte, d.w*d.bpp)
-	prevMetaBits := 0
-	for row := r0 - warmup; row < r1; row++ {
-		y := y0 + row
-		subs, err := pmmu.TranslateRow(y, 0, d.w)
-		if err != nil {
+	for y := start; y < y0+r1; y++ {
+		metaBits := p.stats.MetadataBitsRead
+		if b.subs, err = p.AppendRow(b.subs[:0], y, 0, d.w); err != nil {
 			return err
 		}
 		st := stats
-		if row < r0 {
+		if y < y0+r0 {
 			st = &discard
 		}
-		st.SubRequests += len(subs)
-		// Attribute this row's metadata reads (a delta against the shared
-		// PMMU's running counter) to the same bucket as its pixels, so
-		// warm-up rows never inflate the delivered-row accounting.
-		metaBits := pmmu.Stats().MetadataBitsRead
-		st.MetadataBitsRead += metaBits - prevMetaBits
-		prevMetaBits = metaBits
-		fifo.beginRow()
-		if err := fifo.serviceRow(subs, d.history, 0, rowBuf, st); err != nil {
+		st.SubRequests += len(b.subs)
+		// Attribute this row's metadata reads to the same bucket as its
+		// pixels, so warm-up rows never inflate the delivered-row
+		// accounting.
+		st.MetadataBitsRead += p.stats.MetadataBitsRead - metaBits
+		b.fifo.beginRow()
+		if err := b.fifo.serviceRow(b.subs, d.history, 0, b.row, st); err != nil {
 			return err
 		}
-		fifo.commitRow(rowBuf)
-		if row >= r0 {
-			copy(out.Pix[row*out.Stride():(row+1)*out.Stride()], rowBuf[x0*d.bpp:(x0+w)*d.bpp])
+		b.fifo.commitRow(b.row)
+		if row := y - y0; row >= r0 {
+			copy(out.Pix[row*out.Stride():(row+1)*out.Stride()], b.row[x0*d.bpp:(x0+w)*d.bpp])
 		}
 	}
 	return nil
+}
+
+// warmupStart returns the first row a band whose first output row is y must
+// decode: the nearest row at or above y whose decode never reads the line
+// buffer (see readsLineBuf), or row 0. Every row below it resamples only
+// rows the band decodes itself, so the band reproduces the sequential
+// decode's line buffer exactly.
+func (b *bandScratch) warmupStart(y, w int) (int, error) {
+	for ; y > 0; y-- {
+		var err error
+		if b.subs, err = b.pmmu.AppendRow(b.subs[:0], y, 0, w); err != nil {
+			return 0, err
+		}
+		if !readsLineBuf(b.subs) {
+			break
+		}
+	}
+	return y, nil
+}
+
+// readsLineBuf reports whether a row's decode reads the line buffer: a
+// strided run before the row's first fetch resamples the decoded row above.
+func readsLineBuf(subs []SubRequest) bool {
+	for _, s := range subs {
+		if s.Source != SourceNone {
+			return false
+		}
+		if s.Code == bitpack.CodeSt {
+			return true
+		}
+	}
+	return false
 }
 
 // add accumulates o into s.
@@ -298,18 +345,8 @@ type fifoSampler struct {
 	bpp      int
 	resample []byte // last fetched pixel value in the current row
 	hasValue bool
-	black    []byte
 	lineBuf  []byte // previous decoded row
 	lineOK   bool
-}
-
-func newFIFOSampler(bpp, w int) *fifoSampler {
-	return &fifoSampler{
-		bpp:      bpp,
-		resample: make([]byte, bpp),
-		black:    make([]byte, bpp),
-		lineBuf:  make([]byte, w*bpp),
-	}
 }
 
 // beginRow resets the resampling buffer at a row boundary.
@@ -376,10 +413,15 @@ func (f *fifoSampler) serviceRow(subs []SubRequest, history []*EncodedFrame, x0 
 	return nil
 }
 
-// fillBytes sets every byte of b to v (the compiler lowers the loop to a
-// memset-style fill).
+// fillBytes sets every byte of b to v: a memclr for black, otherwise one
+// store followed by doubling copies.
 func fillBytes(b []byte, v byte) {
-	for i := range b {
-		b[i] = v
+	if v == 0 || len(b) == 0 {
+		clear(b)
+		return
+	}
+	b[0] = v
+	for n := 1; n < len(b); n *= 2 {
+		copy(b[n:], b[:n])
 	}
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"encoding/binary"
 	"fmt"
 
 	"repro/internal/bitpack"
@@ -46,6 +47,14 @@ type PMMU struct {
 	base    uint64          // decoded framebuffer base address (Out-of-Frame handler)
 
 	stats PMMUStats
+
+	// Per-call translation state, kept on the PMMU so that translating a
+	// row allocates nothing: the row being translated, and the lazy R-count
+	// cursor of each history frame (at[i] < 0 until first consulted;
+	// rCount[i] is the R count of frame i's row before column at[i]).
+	y, x0, rowBase int
+	first          int // len(dst) on entry: merging stops there
+	at, rCount     []int
 }
 
 // PMMUStats counts translation work.
@@ -58,12 +67,11 @@ type PMMUStats struct {
 	// the Out-of-Frame handler.
 	Bypassed int
 	// MetadataBitsRead counts EncMask bits examined during translation:
-	// 2 bits per classified pixel (8 per byte-aligned fast-path group, plus
-	// 2 per history frame consulted while resolving an Sk pixel), and one
-	// 2*x0-bit row-prefix scan per history frame the first time a fetch
-	// consults that frame's R-count cursor for the run. Frames no pixel
-	// resolves against charge nothing — matching what the hardware metadata
-	// scratchpad actually reads.
+	// 2 bits per classified pixel (plus 2 per history frame consulted while
+	// resolving an Sk pixel), and one 2*x0-bit row-prefix scan per history
+	// frame the first time a fetch consults that frame's R-count cursor for
+	// the run. Frames no pixel resolves against charge nothing — matching
+	// what the hardware metadata scratchpad actually reads.
 	MetadataBitsRead int
 }
 
@@ -121,128 +129,149 @@ func (p *PMMU) TranslateAddr(addr uint64, length int) (subs []SubRequest, pixel 
 	if x+n > f.W {
 		return nil, true, fmt.Errorf("core: pixel transaction crosses row boundary (x=%d n=%d w=%d)", x, n, f.W)
 	}
-	subs, err = p.TranslateRow(y, x, x+n)
+	subs, err = p.AppendRow(nil, y, x, x+n)
 	return subs, true, err
 }
 
-// TranslateRow translates the decoded-space pixel run [x0, x1) of row y into
-// sub-requests. This is the Transaction Analyzer + translator: it reads the
-// EncMask codes of the run, resolves each pixel's hosting frame, and merges
-// consecutive pixels with the same resolution into a single sub-request.
-func (p *PMMU) TranslateRow(y, x0, x1 int) ([]SubRequest, error) {
+// AppendRow translates the decoded-space pixel run [x0, x1) of row y into
+// sub-requests appended to dst and returns the extended slice. This is the
+// Transaction Analyzer + translator: it reads the EncMask codes of the run
+// one uniform run at a time, resolves each run's hosting frame, and merges
+// adjacent runs with the same resolution into a single sub-request. Merging
+// never reaches into sub-requests that were already in dst, so a caller may
+// reuse one slice across rows (AppendRow(subs[:0], ...)) and translate
+// without allocating once the slice has grown to the row's run count.
+func (p *PMMU) AppendRow(dst []SubRequest, y, x0, x1 int) ([]SubRequest, error) {
 	f := p.newest()
 	if y < 0 || y >= f.H || x0 < 0 || x1 > f.W || x0 >= x1 {
-		return nil, fmt.Errorf("core: run [%d,%d) of row %d outside %dx%d frame", x0, x1, y, f.W, f.H)
+		return dst, fmt.Errorf("core: run [%d,%d) of row %d outside %dx%d frame", x0, x1, y, f.W, f.H)
 	}
-	base := y * f.W
-
-	// Incremental R-count cursor per history frame, so that translating a
-	// full row costs O(W) rather than O(W^2) popcounts. rCount[i] is the
-	// number of R codes in frame i's row y strictly before column `at[i]`.
-	//
-	// Cursors initialize lazily, on the first fetch that consults a frame:
-	// the hardware scratchpad only performs a frame's 2*x0-bit row-prefix
-	// scan when some pixel actually resolves against that frame, so eager
-	// initialization would over-charge MetadataBitsRead by 2*x0 bits for
-	// every history frame no Sk pixel ever touches (and for the newest frame
-	// on runs with no R pixels).
-	nf := len(p.history)
-	rCount := make([]int, nf)
-	at := make([]int, nf)
-	for i := range at {
-		at[i] = -1 // cursor not yet initialized
+	p.y, p.x0, p.rowBase, p.first = y, x0, y*f.W, len(dst)
+	// History cursors start uninitialized: a frame's 2*x0-bit row-prefix
+	// scan is charged only when some pixel actually resolves against it.
+	if n := len(p.history); cap(p.at) < n {
+		p.at, p.rCount = make([]int, n), make([]int, n)
 	}
-	advance := func(i, x int) int { // returns R-count before column x in frame i
-		hf := p.history[i]
-		if at[i] < 0 {
-			rCount[i] = hf.Mask.CountRRange(base, base+x0)
-			at[i] = x0
-			p.stats.MetadataBitsRead += 2 * x0 // scratchpad row prefix scan
-		}
-		if x > at[i] {
-			rCount[i] += hf.Mask.CountRRange(base+at[i], base+x)
-			at[i] = x
-		}
-		return rCount[i]
+	p.at, p.rCount = p.at[:len(p.history)], p.rCount[:len(p.history)]
+	for i := range p.at {
+		p.at[i] = -1
 	}
 
-	var subs []SubRequest
-	emit := func(s SubRequest) {
-		// Merge with the previous sub-request when the run is contiguous in
-		// both decoded and encoded space.
-		if n := len(subs); n > 0 {
-			prev := &subs[n-1]
-			if prev.Code == s.Code && prev.Source == s.Source && prev.Y == s.Y &&
-				prev.X+prev.Count == s.X &&
-				(s.Source == SourceNone || prev.EncIndex+prev.Count == s.EncIndex) {
-				prev.Count += s.Count
-				return
-			}
-		}
-		subs = append(subs, s)
-		p.stats.SubRequests++
-	}
-
-	maskBytes := f.Mask.Bytes()
+	// The newest frame's R cursor is a running count of the R codes this
+	// call has passed; its row prefix is scanned on the first fetch only.
+	mask := f.Mask.Bytes()
+	rowOff := int(f.RowOffsets[y])
+	rPrefix, rSeen := -1, 0
 	for x := x0; x < x1; {
-		// Fast path: a byte-aligned group of four identical N or R codes is
-		// translated as one run without per-pixel work. Frames are mostly
-		// uniform runs of non-regional or fully captured pixels, so this is
-		// what makes software decode scale with the regional share.
-		if (base+x)&3 == 0 && x+4 <= x1 {
-			switch maskBytes[(base+x)>>2] {
-			case 0x00: // N N N N
-				p.stats.MetadataBitsRead += 8
-				emit(SubRequest{X: x, Y: y, Count: 4, Code: bitpack.CodeN, Source: SourceNone})
-				x += 4
-				continue
-			case 0xFF: // R R R R
-				p.stats.MetadataBitsRead += 8
-				enc := int(f.RowOffsets[y]) + advance(0, x)
-				emit(SubRequest{X: x, Y: y, Count: 4, Code: bitpack.CodeR, Source: 0, EncIndex: enc})
-				x += 4
-				continue
-			}
-		}
-		code := f.Mask.Get(base + x)
-		p.stats.MetadataBitsRead += 2
+		code, end := maskRun(mask, p.rowBase+x, p.rowBase+x1)
+		end -= p.rowBase
+		n := end - x
+		p.stats.MetadataBitsRead += 2 * n
 		switch code {
 		case bitpack.CodeR:
-			enc := int(f.RowOffsets[y]) + advance(0, x)
-			emit(SubRequest{X: x, Y: y, Count: 1, Code: bitpack.CodeR, Source: 0, EncIndex: enc})
-		case bitpack.CodeSt:
-			emit(SubRequest{X: x, Y: y, Count: 1, Code: bitpack.CodeSt, Source: SourceNone})
+			if rPrefix < 0 {
+				rPrefix = f.Mask.CountRRange(p.rowBase, p.rowBase+x0)
+				p.stats.MetadataBitsRead += 2 * x0 // scratchpad row prefix scan
+			}
+			dst = p.appendSub(dst, SubRequest{X: x, Y: y, Count: n, Code: bitpack.CodeR, Source: 0, EncIndex: rowOff + rPrefix + rSeen})
+			rSeen += n
 		case bitpack.CodeSk:
-			// Resolve against history: the most recent older frame where
-			// this pixel was captured (CodeR).
-			resolved := false
-			for i := 1; i < nf; i++ {
-				hf := p.history[i]
-				hcode := hf.Mask.Get(base + x)
-				p.stats.MetadataBitsRead += 2
-				if hcode == bitpack.CodeR {
-					enc := int(hf.RowOffsets[y]) + advance(i, x)
-					emit(SubRequest{X: x, Y: y, Count: 1, Code: bitpack.CodeSk, Source: i, EncIndex: enc})
-					resolved = true
-					break
-				}
-				if hcode == bitpack.CodeSt {
-					// The hosting frame strided this pixel out; fall back to
-					// the resampling buffer, as the hosting frame's own
-					// decode would have.
-					emit(SubRequest{X: x, Y: y, Count: 1, Code: bitpack.CodeSt, Source: SourceNone})
-					resolved = true
-					break
-				}
-			}
-			if !resolved {
-				// Not present in the metadata scratchpad window: black.
-				emit(SubRequest{X: x, Y: y, Count: 1, Code: bitpack.CodeN, Source: SourceNone})
-			}
-		default: // CodeN
-			emit(SubRequest{X: x, Y: y, Count: 1, Code: bitpack.CodeN, Source: SourceNone})
+			dst = p.resolveSk(dst, 1, x, end)
+		default: // CodeN, CodeSt: no fetch
+			dst = p.appendSub(dst, SubRequest{X: x, Y: y, Count: n, Code: code, Source: SourceNone})
 		}
-		x++
+		x = end
 	}
-	return subs, nil
+	return dst, nil
+}
+
+// resolveSk resolves the temporally skipped run [xa, xb) of the current row
+// against history frames i and older: each pixel takes the most recent older
+// frame where it was captured (CodeR), falls back to the resampling buffer
+// when the frame that next holds it strided it out (CodeSt), and decodes
+// black when no frame in the scratchpad window holds it. Every history code
+// examined is charged 2 metadata bits.
+func (p *PMMU) resolveSk(dst []SubRequest, i, xa, xb int) []SubRequest {
+	if i >= len(p.history) {
+		return p.appendSub(dst, SubRequest{X: xa, Y: p.y, Count: xb - xa, Code: bitpack.CodeN, Source: SourceNone})
+	}
+	hf := p.history[i]
+	mask := hf.Mask.Bytes()
+	for x := xa; x < xb; {
+		code, end := maskRun(mask, p.rowBase+x, p.rowBase+xb)
+		end -= p.rowBase
+		n := end - x
+		p.stats.MetadataBitsRead += 2 * n
+		switch code {
+		case bitpack.CodeR:
+			enc := int(hf.RowOffsets[p.y]) + p.historyRBefore(i, x)
+			dst = p.appendSub(dst, SubRequest{X: x, Y: p.y, Count: n, Code: bitpack.CodeSk, Source: i, EncIndex: enc})
+			p.at[i], p.rCount[i] = end, p.rCount[i]+n
+		case bitpack.CodeSt:
+			dst = p.appendSub(dst, SubRequest{X: x, Y: p.y, Count: n, Code: bitpack.CodeSt, Source: SourceNone})
+		default: // CodeN, CodeSk: look further back
+			dst = p.resolveSk(dst, i+1, x, end)
+		}
+		x = end
+	}
+	return dst
+}
+
+// historyRBefore returns the number of R codes before column x in history
+// frame i's row. The cursor initializes lazily with a scan of the row prefix
+// [0, x0) and then advances by CountRRange over the columns it skips, so a
+// whole row costs O(W) popcounts rather than O(W^2).
+func (p *PMMU) historyRBefore(i, x int) int {
+	m := p.history[i].Mask
+	if p.at[i] < 0 {
+		p.rCount[i] = m.CountRRange(p.rowBase, p.rowBase+p.x0)
+		p.at[i] = p.x0
+		p.stats.MetadataBitsRead += 2 * p.x0 // scratchpad row prefix scan
+	}
+	if x > p.at[i] {
+		p.rCount[i] += m.CountRRange(p.rowBase+p.at[i], p.rowBase+x)
+		p.at[i] = x
+	}
+	return p.rCount[i]
+}
+
+// appendSub appends s to dst, merging it into the previous sub-request when
+// this AppendRow call appended that one and the two runs are contiguous in
+// decoded space and, for fetches, in the source frame's packed stream.
+func (p *PMMU) appendSub(dst []SubRequest, s SubRequest) []SubRequest {
+	if n := len(dst); n > p.first {
+		prev := &dst[n-1]
+		if prev.Code == s.Code && prev.Source == s.Source && prev.X+prev.Count == s.X &&
+			(s.Source == SourceNone || prev.EncIndex+prev.Count == s.EncIndex) {
+			prev.Count += s.Count
+			return dst
+		}
+	}
+	p.stats.SubRequests++
+	return append(dst, s)
+}
+
+// maskRun returns the code of packed EncMask element lo and the end of the
+// run of identical codes starting there, scanning no further than hi. Whole
+// bytes of the run are compared eight at a time against the code's
+// repeated bit pattern (0x00 N, 0x55 St, 0xAA Sk, 0xFF R).
+func maskRun(mask []byte, lo, hi int) (bitpack.Code, int) {
+	c := mask[lo>>2] >> (uint(lo&3) * 2) & 3
+	i := lo + 1
+	for ; i < hi && i&3 != 0; i++ {
+		if mask[i>>2]>>(uint(i&3)*2)&3 != c {
+			return bitpack.Code(c), i
+		}
+	}
+	pat := c * 0x55
+	for word := uint64(pat) * 0x0101010101010101; hi-i >= 32 && binary.LittleEndian.Uint64(mask[i>>2:]) == word; {
+		i += 32
+	}
+	for hi-i >= 4 && mask[i>>2] == pat {
+		i += 4
+	}
+	for i < hi && mask[i>>2]>>(uint(i&3)*2)&3 == c {
+		i++
+	}
+	return bitpack.Code(c), i
 }

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"fmt"
+	"math/rand"
 	"testing"
 
 	"repro/internal/bitpack"
@@ -65,7 +67,7 @@ func TestPMMUPixelTransaction(t *testing.T) {
 func TestPMMUMixedRun(t *testing.T) {
 	_, p := pmmuFixture(t)
 	// Row 3, columns 0..16: N(0..4) R(4..12) N(12..16) → 3 sub-requests.
-	subs, err := p.TranslateRow(3, 0, 16)
+	subs, err := p.AppendRow(nil, 3, 0, 16)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,10 +86,10 @@ func TestPMMUErrors(t *testing.T) {
 	if _, _, err := p.TranslateAddr(0x1000+3*16+14, 4); err == nil {
 		t.Error("row-crossing transaction accepted")
 	}
-	if _, err := p.TranslateRow(99, 0, 4); err == nil {
+	if _, err := p.AppendRow(nil, 99, 0, 4); err == nil {
 		t.Error("bad row accepted")
 	}
-	if _, err := p.TranslateRow(0, 8, 4); err == nil {
+	if _, err := p.AppendRow(nil, 0, 8, 4); err == nil {
 		t.Error("inverted run accepted")
 	}
 	// Misalignment only possible with bpp > 1.
@@ -113,7 +115,7 @@ func TestPMMUSkResolution(t *testing.T) {
 	ef0 := mustEncode(t, e, fr0, 0) // active
 	ef1 := mustEncode(t, e, fr0, 1) // skipped
 	p := NewPMMU([]*EncodedFrame{ef1, ef0}, 0)
-	subs, err := p.TranslateRow(1, 0, 8)
+	subs, err := p.AppendRow(nil, 1, 0, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,7 +142,7 @@ func TestPMMUSkResolvesToStInHistory(t *testing.T) {
 	ef0 := mustEncode(t, e, fr, 0)
 	ef1 := mustEncode(t, e, fr, 1)
 	p := NewPMMU([]*EncodedFrame{ef1, ef0}, 0)
-	subs, err := p.TranslateRow(0, 0, 4)
+	subs, err := p.AppendRow(nil, 0, 0, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -204,22 +206,22 @@ func metaFixture(t *testing.T) *PMMU {
 }
 
 // TestPMMUMetadataAccountingLazy pins the exact MetadataBitsRead charge for
-// a run of R pixels with a nonzero column origin: 8 bits per fast-path
-// group of four codes, plus one 2*x0-bit prefix scan for the newest frame
+// a run of R pixels with a nonzero column origin: 2 bits per examined
+// code, plus one 2*x0-bit prefix scan for the newest frame
 // the first time its R-count cursor is consulted. The history frame is
 // never consulted (no Sk pixel), so it must charge nothing — the pre-fix
 // eager cursor init charged 2*x0 bits per history frame per row regardless.
 func TestPMMUMetadataAccountingLazy(t *testing.T) {
 	p := metaFixture(t)
 	// Row 3, columns [4,12): R R R R | R R R R, both groups byte-aligned.
-	subs, err := p.TranslateRow(3, 4, 12)
+	subs, err := p.AppendRow(nil, 3, 4, 12)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(subs) != 1 || subs[0].Count != 8 {
 		t.Fatalf("sub-requests = %+v, want one merged run of 8", subs)
 	}
-	// 2 fast-path groups x 8 bits + frame-0 prefix scan of 2*4 bits = 24.
+	// 8 codes x 2 bits + frame-0 prefix scan of 2*4 bits = 24.
 	if got := p.Stats().MetadataBitsRead; got != 24 {
 		t.Errorf("MetadataBitsRead = %d, want exactly 24", got)
 	}
@@ -231,7 +233,7 @@ func TestPMMUMetadataAccountingLazy(t *testing.T) {
 func TestPMMUMetadataAccountingNoFetch(t *testing.T) {
 	p := metaFixture(t)
 	// Row 0 is outside the region: columns [4,8) are one N N N N group.
-	subs, err := p.TranslateRow(0, 4, 8)
+	subs, err := p.AppendRow(nil, 0, 4, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -260,7 +262,7 @@ func TestPMMUMetadataAccountingSk(t *testing.T) {
 	// Row 1, columns [2,4): two Sk pixels (not byte-aligned at x=2), each
 	// charging 2 bits (own code) + 2 bits (frame-1 history probe); frame 1's
 	// cursor prefix scan charges 2*x0 = 4 bits once.
-	subs, err := p.TranslateRow(1, 2, 4)
+	subs, err := p.AppendRow(nil, 1, 2, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -274,7 +276,7 @@ func TestPMMUMetadataAccountingSk(t *testing.T) {
 
 func TestPMMUStats(t *testing.T) {
 	_, p := pmmuFixture(t)
-	if _, err := p.TranslateRow(3, 0, 16); err != nil {
+	if _, err := p.AppendRow(nil, 3, 0, 16); err != nil {
 		t.Fatal(err)
 	}
 	s := p.Stats()
@@ -283,5 +285,178 @@ func TestPMMUStats(t *testing.T) {
 	}
 	if s.MetadataBitsRead < 32 { // at least 2 bits per examined pixel
 		t.Errorf("MetadataBitsRead = %d, want >= 32", s.MetadataBitsRead)
+	}
+}
+
+// The run-length translator is checked against the per-pixel translator it
+// replaced, kept here only as a reference oracle.
+
+// translateRowReference translates [x0, x1) of row y pixel by pixel against
+// p's history, merging each pixel into the previous sub-request when the two
+// are contiguous, and charges p's stats exactly as AppendRow must.
+func translateRowReference(p *PMMU, y, x0, x1 int) ([]SubRequest, error) {
+	f := p.newest()
+	if y < 0 || y >= f.H || x0 < 0 || x1 > f.W || x0 >= x1 {
+		return nil, fmt.Errorf("core: run [%d,%d) of row %d outside %dx%d frame", x0, x1, y, f.W, f.H)
+	}
+	base := y * f.W
+	nf := len(p.history)
+	rCount := make([]int, nf)
+	at := make([]int, nf)
+	for i := range at {
+		at[i] = -1
+	}
+	advance := func(i, x int) int { // R count before column x in frame i
+		hf := p.history[i]
+		if at[i] < 0 {
+			rCount[i] = hf.Mask.CountRRange(base, base+x0)
+			at[i] = x0
+			p.stats.MetadataBitsRead += 2 * x0
+		}
+		if x > at[i] {
+			rCount[i] += hf.Mask.CountRRange(base+at[i], base+x)
+			at[i] = x
+		}
+		return rCount[i]
+	}
+	var subs []SubRequest
+	emit := func(s SubRequest) {
+		if n := len(subs); n > 0 {
+			prev := &subs[n-1]
+			if prev.Code == s.Code && prev.Source == s.Source && prev.Y == s.Y &&
+				prev.X+prev.Count == s.X &&
+				(s.Source == SourceNone || prev.EncIndex+prev.Count == s.EncIndex) {
+				prev.Count += s.Count
+				return
+			}
+		}
+		subs = append(subs, s)
+		p.stats.SubRequests++
+	}
+	for x := x0; x < x1; x++ {
+		p.stats.MetadataBitsRead += 2
+		switch f.Mask.Get(base + x) {
+		case bitpack.CodeR:
+			emit(SubRequest{X: x, Y: y, Count: 1, Code: bitpack.CodeR, Source: 0, EncIndex: int(f.RowOffsets[y]) + advance(0, x)})
+		case bitpack.CodeSt:
+			emit(SubRequest{X: x, Y: y, Count: 1, Code: bitpack.CodeSt, Source: SourceNone})
+		case bitpack.CodeSk:
+			resolved := false
+			for i := 1; i < nf && !resolved; i++ {
+				hf := p.history[i]
+				p.stats.MetadataBitsRead += 2
+				switch hf.Mask.Get(base + x) {
+				case bitpack.CodeR:
+					emit(SubRequest{X: x, Y: y, Count: 1, Code: bitpack.CodeSk, Source: i, EncIndex: int(hf.RowOffsets[y]) + advance(i, x)})
+					resolved = true
+				case bitpack.CodeSt:
+					emit(SubRequest{X: x, Y: y, Count: 1, Code: bitpack.CodeSt, Source: SourceNone})
+					resolved = true
+				}
+			}
+			if !resolved {
+				emit(SubRequest{X: x, Y: y, Count: 1, Code: bitpack.CodeN, Source: SourceNone})
+			}
+		default:
+			emit(SubRequest{X: x, Y: y, Count: 1, Code: bitpack.CodeN, Source: SourceNone})
+		}
+	}
+	return subs, nil
+}
+
+// encodeHistory encodes one w×h Gray8 frame per label set, frame k with
+// sets[k] at index firstFrame+k, and returns them newest first, as a PMMU
+// or Decoder history holds them.
+func encodeHistory(tb testing.TB, rng *rand.Rand, sets []region.List, w, h, firstFrame int) []*EncodedFrame {
+	tb.Helper()
+	enc := NewEncoder(w, h, frame.Gray8)
+	hist := make([]*EncodedFrame, len(sets))
+	for k, labels := range sets {
+		if err := enc.SetRegionLabels(labels); err != nil {
+			tb.Fatal(err)
+		}
+		ef, err := enc.EncodeFrame(genFrame(rng, w, h, frame.Gray8), firstFrame+k)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		hist[len(sets)-1-k] = ef
+	}
+	return hist
+}
+
+// driftingLabels returns n label sets drawn with gen, where each set after
+// the first is a fresh draw half the time and its predecessor otherwise, so
+// history frames disagree about which pixels are regional.
+func driftingLabels(rng *rand.Rand, n int, gen func() region.List) []region.List {
+	sets := []region.List{gen()}
+	for len(sets) < n {
+		next := sets[len(sets)-1]
+		if rng.Intn(2) == 0 {
+			next = gen()
+		}
+		sets = append(sets, next)
+	}
+	return sets
+}
+
+// TestAppendRowMatchesReference compares AppendRow with the per-pixel
+// oracle sub-request for sub-request and counter for counter, over random
+// labels (strides 1-8, skips with phase, changing between frames), widths
+// mostly not multiples of four, history depths 1-5, aligned and unaligned
+// runs, and a dst slice that is reused and already holds a contiguous run of
+// the same row.
+func TestAppendRowMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(0xa99e))
+	var dst []SubRequest
+	for trial := 0; trial < 200; trial++ {
+		w, h := 1+rng.Intn(140), 1+rng.Intn(24)
+		depth := 1 + rng.Intn(5)
+		labels := driftingLabels(rng, depth, func() region.List { return fuzzLabels(rng, w, h) })
+		hist := encodeHistory(t, rng, labels, w, h, rng.Intn(8))
+		got, want := NewPMMU(hist, 0), NewPMMU(hist, 0)
+		for k := 0; k < 40; k++ {
+			y := rng.Intn(h)
+			x0, x1 := 0, w
+			switch rng.Intn(3) {
+			case 1: // byte-aligned within the row
+				x0 = rng.Intn(w) &^ 3
+				x1 = x0 + 1 + rng.Intn(w-x0)
+			case 2: // arbitrary
+				x0 = rng.Intn(w)
+				x1 = x0 + 1 + rng.Intn(w-x0)
+			}
+			tag := fmt.Sprintf("trial %d (%dx%d depth %d labels %v) row %d [%d,%d)", trial, w, h, depth, labels, y, x0, x1)
+			// Half the time dst already ends with the row's run just left
+			// of x0, which AppendRow must not merge into.
+			var err error
+			dst = dst[:0]
+			if x0 > 0 && rng.Intn(2) == 0 {
+				if dst, err = got.AppendRow(dst, y, rng.Intn(x0), x0); err != nil {
+					t.Fatal(err)
+				}
+				want.stats = got.stats
+			}
+			ref, err := translateRowReference(want, y, x0, x1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			before := len(dst)
+			dst, err = got.AppendRow(dst, y, x0, x1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			appended := dst[before:]
+			if len(appended) != len(ref) {
+				t.Fatalf("%s: %d sub-requests, reference %d:\n got %+v\nwant %+v", tag, len(appended), len(ref), appended, ref)
+			}
+			for i := range ref {
+				if appended[i] != ref[i] {
+					t.Fatalf("%s: sub-request %d = %+v, reference %+v", tag, i, appended[i], ref[i])
+				}
+			}
+			if got.Stats() != want.Stats() {
+				t.Fatalf("%s: stats %+v, reference %+v", tag, got.Stats(), want.Stats())
+			}
+		}
 	}
 }

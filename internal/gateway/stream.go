@@ -132,13 +132,16 @@ func (s *proxySession) relayStream(conn net.Conn, cbr *bufio.Reader, writeClient
 
 	// Downstream pump: backend→client until the stream's terminal message
 	// (final ACK or ERROR) or a transport failure on either side. It owns
-	// the client's write side until pumpDone closes.
+	// the client's write side until pumpDone closes. Each message is
+	// forwarded before the next read and never retained, so every read
+	// lands in the one per-stream buffer.
 	pumpDone := make(chan struct{})
 	go func() {
 		defer close(pumpDone)
+		var rbuf []byte
 		for {
 			bconn.SetReadDeadline(time.Now().Add(g.cfg.ReadTimeout))
-			typ, payload, err := wire.ReadMessage(bbr, g.cfg.MaxPayload)
+			typ, payload, err := wire.ReadMessageInto(bbr, &rbuf, g.cfg.MaxPayload)
 			if err != nil {
 				// Backend died mid-stream (possibly mid-batch): the client
 				// gets the typed error, never a torn FRAME_PUSH — this

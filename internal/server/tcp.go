@@ -255,6 +255,15 @@ func (s *TCPServer) handle(conn net.Conn) {
 	frameBytes := hello.W * hello.H * hello.Format.BytesPerPixel()
 	for {
 		conn.SetReadDeadline(time.Now().Add(s.cfg.ReadTimeout))
+		// A Shutdown that woke this connection before the deadline above
+		// replaced its own would otherwise leave the read blocked for the
+		// full ReadTimeout.
+		s.mu.Lock()
+		draining := s.draining
+		s.mu.Unlock()
+		if draining {
+			return
+		}
 		typ, payload, err := wire.ReadMessageInto(br, &rbuf, s.cfg.MaxPayload)
 		if err != nil {
 			if errors.Is(err, wire.ErrTooLarge) {

@@ -48,7 +48,7 @@ stage_alloc() {
 # ----------------------------------------------------------------- fuzz
 
 # A short budget per untrusted decode surface, plus the span-fill encoder
-# against its per-pixel reference. Regressions the fuzzer finds land in
+# and the run-length decoder against their per-pixel references. Regressions the fuzzer finds land in
 # testdata/fuzz/ seed corpora, which tier1's -race run then replays forever
 # after.
 stage_fuzz() {
@@ -61,6 +61,7 @@ stage_fuzz() {
     go test -run='^$' -fuzz='^FuzzReadEncodedFrame$' -fuzztime="$FUZZTIME" ./internal/core
     go test -run='^$' -fuzz='^FuzzStreamReader$' -fuzztime="$FUZZTIME" ./internal/core
     go test -run='^$' -fuzz='^FuzzEncodeRows$' -fuzztime="$FUZZTIME" ./internal/core
+    go test -run='^$' -fuzz='^FuzzDecodeWindow$' -fuzztime="$FUZZTIME" ./internal/core
     go test -run='^$' -fuzz='^FuzzMaskCodec$' -fuzztime="$FUZZTIME" ./internal/bitpack
 }
 
