@@ -15,7 +15,7 @@
 // closed, their slots freed) so abandoned clients cannot pin -max-sessions;
 // 0 disables eviction and leaves only the per-read -read-timeout guard.
 //
-// Protocol v3 connections may also SUBSCRIBE to another session's frame
+// Connections may also SUBSCRIBE to another session's frame
 // stream: the connection switches into push mode and receives FRAME_PUSH
 // batches under a credit window granted by the subscriber, so a stalled
 // consumer drops frames (counted) instead of buffering unboundedly or

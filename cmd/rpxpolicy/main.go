@@ -2,8 +2,8 @@
 // subscribes to a producing session's frame stream on an rpxd (or through
 // an rpxgw), decodes the pushed frames, runs a registry-selected policy
 // over the observed scene once per cycle, and pushes the resulting
-// region-label workload back to the producer with in-stream label feedback
-// (protocol v5). The producer's capture rhythm is then steered by what the
+// region-label workload back to the producer with in-stream label
+// feedback. The producer's capture rhythm is then steered by what the
 // policy saw — the deployment shape the paper's §4.3.1 policy/user split
 // implies, with the policy in its own process.
 //

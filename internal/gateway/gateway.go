@@ -449,7 +449,12 @@ func (g *Gateway) handle(conn net.Conn) {
 	g.mu.Unlock()
 	g.sessionsTotal.Inc()
 	g.sessionsOpen.Add(1)
-	defer func() {
+	released := false
+	release := func() {
+		if released {
+			return
+		}
+		released = true
 		g.mu.Lock()
 		delete(g.sessions, s)
 		g.mu.Unlock()
@@ -457,13 +462,23 @@ func (g *Gateway) handle(conn net.Conn) {
 		s.mu.Lock()
 		s.closeBackendLocked()
 		s.mu.Unlock()
-	}()
+	}
+	defer release()
 	if writeClient(wire.MsgHelloAck, ack) != nil {
 		return
 	}
 
 	for {
 		conn.SetReadDeadline(time.Now().Add(g.cfg.ReadTimeout))
+		// A Shutdown that woke this connection before the deadline above
+		// replaced its own would otherwise leave the read blocked for the
+		// full ReadTimeout.
+		g.mu.Lock()
+		draining := g.draining
+		g.mu.Unlock()
+		if draining {
+			return
+		}
 		typ, payload, err := wire.ReadMessage(cbr, g.cfg.MaxPayload)
 		if err != nil {
 			if errors.Is(err, wire.ErrTooLarge) {
@@ -493,10 +508,14 @@ func (g *Gateway) handle(conn net.Conn) {
 		if i := opIndex(typ); i >= 0 {
 			g.opHist[i].Observe(time.Since(start))
 		}
-		if writeClient(rtyp, rpayload) != nil {
+		if typ == wire.MsgClose {
+			// Deregister before acknowledging, so a client that has seen
+			// its CLOSE acknowledged is never still counted as open.
+			release()
+			writeClient(rtyp, rpayload)
 			return
 		}
-		if typ == wire.MsgClose {
+		if writeClient(rtyp, rpayload) != nil {
 			return
 		}
 	}

@@ -2,6 +2,7 @@ package gateway_test
 
 import (
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
@@ -266,6 +267,43 @@ func TestGatewayRelaysRejection(t *testing.T) {
 	}
 	if !client.IsGeometryRejected(err) {
 		t.Fatalf("dial error = %v, want the backend's geometry rejection relayed", err)
+	}
+}
+
+// TestGatewayRejectsRetiredHello: a HELLO laid out by a retired protocol
+// revision (v4: 30 bytes, no codec byte) draws CodeProto from the gateway
+// itself, before any backend is dialled.
+func TestGatewayRejectsRetiredHello(t *testing.T) {
+	b := startBackend(t)
+	addr, _ := startGateway(t, []gateway.Backend{{Addr: b.addr}}, nil)
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	hello := wire.MarshalHello(wire.Hello{W: 16, H: 16, Format: rpx.Gray8})
+	hello = hello[:len(hello)-1]
+	binary.LittleEndian.PutUint32(hello[4:], 4)
+	if err := wire.WriteMessage(conn, wire.MsgHello, hello, 0); err != nil {
+		t.Fatal(err)
+	}
+	conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+	typ, payload, err := wire.ReadMessage(conn, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if typ != wire.MsgError {
+		t.Fatalf("reply type %d, want ERROR", typ)
+	}
+	re, err := wire.UnmarshalError(payload)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if re.Code != wire.CodeProto {
+		t.Fatalf("error code %d (%s), want CodeProto", re.Code, re.Message)
+	}
+	if n := b.mgr.Snapshot().SessionsOpened; n != 0 {
+		t.Fatalf("backend opened %d sessions for a rejected HELLO", n)
 	}
 }
 

@@ -9,7 +9,7 @@ import (
 	"repro/internal/wire"
 )
 
-// Streaming relay (protocol v3).
+// Streaming relay.
 //
 // A SUBSCRIBE switches the proxied connection into push mode: the gateway
 // forwards the subscribe, relays the SUBSCRIBE_ACK, and then runs two pumps
@@ -125,7 +125,7 @@ func (s *proxySession) relayStream(conn net.Conn, cbr *bufio.Reader, writeClient
 		return 0, nil, false
 	}
 	if rtyp != wire.MsgSubscribeAck {
-		// Deterministic rejection (bad target, v2 session): relayed, the
+		// Deterministic rejection (bad target, session limit): relayed, the
 		// connection stays in request/reply mode.
 		return 0, nil, true
 	}

@@ -111,7 +111,7 @@ type Manager struct {
 	sweepQuit chan struct{}
 	sweepDone chan struct{}
 
-	// Push-subscription registry (protocol v3 streaming), its own lock so
+	// Push-subscription registry (push streaming), its own lock so
 	// subscription churn never contends with Open/Close.
 	subMu         sync.Mutex
 	subscriptions map[uint64]*Subscription

@@ -8,7 +8,7 @@ import (
 	"repro/rpx"
 )
 
-// Streaming push subscriptions (protocol v3).
+// Streaming push subscriptions.
 //
 // A Subscription attaches to one session's encoded-frame stream and buffers
 // frames the session's worker publishes until a transport writer drains

@@ -232,20 +232,13 @@ func (s *TCPServer) handle(conn net.Conn) {
 	// When the idle janitor evicts this session, close the connection so a
 	// handler blocked in ReadMessage wakes and tears down promptly.
 	sess.OnEvict(func() { conn.Close() })
-	// The ack echoes the negotiated version: a v2 HELLO gets the legacy
-	// 12-byte form (all an old client can parse), a v3 HELLO the extended
-	// form that confirms streaming is available, and a v4 HELLO additionally
-	// carries the granted codec bits. The server grants exactly the
-	// capabilities it implements, intersected with what the client asked for.
-	var codec uint8
-	if hello.Version >= 4 {
-		codec = hello.Codec & wire.CodecPackedMask
-	}
-	packed := codec&wire.CodecPackedMask != 0
+	// The server grants exactly the codecs it implements, intersected with
+	// what the client offered.
+	codec := hello.Codec & wire.CodecPackedMask
+	packed := codec != 0
 	cw.scratch = wire.AppendHelloAck(cw.scratch[:0], wire.HelloAck{
 		SessionID:  sess.ID(),
 		MaxPayload: s.cfg.MaxPayload,
-		Version:    hello.Version,
 		Codec:      codec,
 	})
 	if err := cw.write(wire.MsgHelloAck, cw.scratch); err != nil {
@@ -276,7 +269,7 @@ func (s *TCPServer) handle(conn net.Conn) {
 		if typ == wire.MsgSubscribe {
 			// Streaming mode runs its own read loop and hands the write
 			// side to a dedicated writer until the subscription ends.
-			if done := s.serveStream(sess, conn, br, &rbuf, cw, hello, payload, packed); done {
+			if done := s.serveStream(sess, conn, br, &rbuf, cw, payload, packed); done {
 				return
 			}
 			continue
@@ -292,11 +285,7 @@ func (s *TCPServer) handle(conn net.Conn) {
 // (FRAME_PUSH batches, the final ACK or error), while this loop keeps
 // reading CREDIT grants until UNSUBSCRIBE or teardown. It reports true when
 // the connection should end; false resumes the request/reply loop.
-func (s *TCPServer) serveStream(sess *Session, conn net.Conn, br *bufio.Reader, rbuf *[]byte, cw *connWriter, hello wire.Hello, payload []byte, packed bool) bool {
-	if hello.Version < 3 {
-		return cw.writeErr(wire.CodeProto, fmt.Sprintf(
-			"SUBSCRIBE requires protocol v3, session negotiated v%d", hello.Version)) != nil
-	}
+func (s *TCPServer) serveStream(sess *Session, conn net.Conn, br *bufio.Reader, rbuf *[]byte, cw *connWriter, payload []byte, packed bool) bool {
 	req, err := wire.UnmarshalSubscribe(payload)
 	if err != nil {
 		return cw.writeErr(wire.CodeProto, err.Error()) != nil
@@ -326,7 +315,7 @@ func (s *TCPServer) serveStream(sess *Session, conn net.Conn, br *bufio.Reader, 
 	// From here the writer goroutine owns cw for writing (its MessageWriter
 	// serializes the actual sends); this loop only writes again after
 	// joining writerDone, so cw.scratch is never shared. The one exception
-	// is the v5 LABELS_APPLIED reply, which must interleave with live
+	// is the LABELS_APPLIED reply, which must interleave with live
 	// FRAME_PUSH traffic: it marshals into its own buffer (never
 	// cw.scratch) and relies on the MessageWriter's internal lock to keep
 	// whole messages atomic against the stream writer.
@@ -365,12 +354,6 @@ func (s *TCPServer) serveStream(sess *Session, conn net.Conn, br *bufio.Reader, 
 			// final ACK; then the write side is ours again.
 			return <-writerDone != nil
 		case wire.MsgStreamLabels:
-			if hello.Version < 5 {
-				sub.Abort()
-				<-writerDone
-				return cw.writeErr(wire.CodeProto, fmt.Sprintf(
-					"STREAM_LABELS requires protocol v5, session negotiated v%d", hello.Version)) != nil
-			}
 			sl, err := wire.UnmarshalStreamLabels(payload)
 			if err != nil || sl.SubID != sub.ID() {
 				sub.Abort()

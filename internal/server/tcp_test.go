@@ -3,6 +3,7 @@ package server
 import (
 	"context"
 	"net"
+	"strings"
 	"testing"
 	"time"
 
@@ -83,15 +84,25 @@ func TestTCPRejectsNonHelloFirst(t *testing.T) {
 	readError(t, conn, wire.CodeProto)
 }
 
+// TestTCPRejectsBadHello: a HELLO carrying any version but
+// wire.ProtoVersion — the retired revisions 2–4 included — draws CodeProto
+// and opens no session.
 func TestTCPRejectsBadHello(t *testing.T) {
-	_, addr := startTestServer(t, Config{}, TCPConfig{})
-	conn := dialRaw(t, addr)
-	payload := wire.MarshalHello(wire.Hello{W: 16, H: 16, Format: frame.Gray8})
-	payload[4] = 99 // corrupt the protocol version
-	if err := wire.WriteMessage(conn, wire.MsgHello, payload, 0); err != nil {
-		t.Fatal(err)
+	srv, addr := startTestServer(t, Config{}, TCPConfig{})
+	for _, v := range []byte{2, 3, 4, 6, 99} {
+		conn := dialRaw(t, addr)
+		payload := wire.MarshalHello(wire.Hello{W: 16, H: 16, Format: frame.Gray8})
+		payload[4] = v
+		if err := wire.WriteMessage(conn, wire.MsgHello, payload, 0); err != nil {
+			t.Fatal(err)
+		}
+		if re := readError(t, conn, wire.CodeProto); !strings.Contains(re.Message, "version") {
+			t.Fatalf("v%d HELLO rejected with %q, want a version error", v, re.Message)
+		}
 	}
-	readError(t, conn, wire.CodeProto)
+	if n := srv.Manager().Snapshot().SessionsOpened; n != 0 {
+		t.Fatalf("rejected HELLOs opened %d sessions", n)
+	}
 }
 
 func TestTCPEnforcesPayloadCap(t *testing.T) {

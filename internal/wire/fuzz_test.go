@@ -2,6 +2,7 @@ package wire
 
 import (
 	"bytes"
+	"encoding/binary"
 	"testing"
 
 	"repro/internal/region"
@@ -23,7 +24,7 @@ func FuzzReadMessage(f *testing.F) {
 	}
 	f.Add(seed(MsgHello, MarshalHello(Hello{W: 64, H: 48, HistoryDepth: 4, Parallelism: 2})))
 	f.Add(seed(MsgHelloAck, MarshalHelloAck(HelloAck{SessionID: 7, MaxPayload: DefaultMaxPayload})))
-	f.Add(seed(MsgHelloAck, MarshalHelloAck(HelloAck{SessionID: 7, MaxPayload: DefaultMaxPayload, Version: ProtoVersion})))
+	f.Add(seed(MsgHelloAck, MarshalHelloAck(HelloAck{SessionID: 7, MaxPayload: DefaultMaxPayload, Codec: CodecPackedMask})))
 	f.Add(seed(MsgSubscribe, MarshalSubscribe(Subscribe{Target: 3, Credit: 8, Batch: 4})))
 	f.Add(seed(MsgFramePush, MarshalFramePush(FramePush{SubID: 1, Frames: []PushFrame{{Seq: 2, Enc: []byte{1, 2, 3}}}})))
 	f.Add(seed(MsgCaptureAck, MarshalCaptureAck(CaptureAck{FrameIndex: 3, EncodedPixels: 10, EncodedBytes: 10, PixelFraction: 0.5})))
@@ -83,7 +84,7 @@ func FuzzReadMessage(f *testing.F) {
 	})
 }
 
-// FuzzReadSubscribe exercises the small fixed-size v3 control payloads
+// FuzzReadSubscribe exercises the small fixed-size push-mode control payloads
 // (SUBSCRIBE, SUBSCRIBE_ACK, CREDIT, UNSUBSCRIBE) with arbitrary bytes:
 // errors, never panics, and any accepted SUBSCRIBE obeys the credit and
 // batch caps — the bounds the server's per-subscription ledger relies on.
@@ -141,6 +142,32 @@ func FuzzReadFramePush(f *testing.F) {
 		}
 		if got := MarshalFramePush(p); !bytes.Equal(got, data) {
 			t.Fatalf("re-marshal differs: %d bytes in, %d out", len(data), len(got))
+		}
+	})
+}
+
+// FuzzHello drives arbitrary bytes through the handshake decoders. With one
+// HELLO and one HELLO_ACK layout the decoders are exact: any payload either
+// is rejected or re-marshals to identical bytes, so a gateway replaying a
+// client's HELLO and a client re-marshalling its own can never disagree.
+func FuzzHello(f *testing.F) {
+	f.Add(MarshalHello(Hello{W: 64, H: 48, Format: 0, HistoryDepth: 4, Parallelism: 2}))
+	f.Add(MarshalHello(Hello{W: 1 << 15, H: 1, Format: 2, QueueDepth: 1 << 20, Block: true, Parallelism: MaxParallelism, Codec: CodecPackedMask}))
+	f.Add(MarshalHelloAck(HelloAck{SessionID: 7, MaxPayload: DefaultMaxPayload}))
+	f.Add(MarshalHelloAck(HelloAck{SessionID: ^uint64(0), MaxPayload: 1, Codec: CodecPackedMask}))
+	retired := MarshalHello(Hello{W: 8, H: 8})
+	binary.LittleEndian.PutUint32(retired[4:], 4)
+	f.Add(retired[:len(retired)-1]) // a v4-era HELLO without the codec byte
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if h, err := UnmarshalHello(data); err == nil {
+			if got := MarshalHello(h); !bytes.Equal(got, data) {
+				t.Fatalf("HELLO %+v re-marshals to\n  %x\nwant\n  %x", h, got, data)
+			}
+		}
+		if a, err := UnmarshalHelloAck(data); err == nil {
+			if got := MarshalHelloAck(a); !bytes.Equal(got, data) {
+				t.Fatalf("HELLO_ACK %+v re-marshals to\n  %x\nwant\n  %x", a, got, data)
+			}
 		}
 	})
 }

@@ -52,68 +52,67 @@ func TestMessageSizeLimits(t *testing.T) {
 }
 
 func TestHelloRoundTrip(t *testing.T) {
-	h := Hello{W: 640, H: 480, Format: frame.RGB24, HistoryDepth: 6, QueueDepth: 3, Block: true}
-	got, err := UnmarshalHello(MarshalHello(h))
+	h := Hello{W: 640, H: 480, Format: frame.RGB24, HistoryDepth: 6, QueueDepth: 3, Block: true, Codec: CodecPackedMask}
+	b := MarshalHello(h)
+	if len(b) != helloSize {
+		t.Fatalf("HELLO is %d bytes, want %d", len(b), helloSize)
+	}
+	got, err := UnmarshalHello(b)
 	if err != nil {
 		t.Fatalf("UnmarshalHello: %v", err)
 	}
-	h.Version = ProtoVersion // zero Version marshals as the newest revision
 	if got != h {
 		t.Fatalf("hello round trip = %+v, want %+v", got, h)
 	}
 }
 
-// TestHelloVersionNegotiation pins the compatibility contract: a v2 HELLO
-// against a v3 decoder negotiates down cleanly (the old wire layout is
-// version-identical), while versions outside [MinProtoVersion, ProtoVersion]
-// — what a v3 HELLO hits on a server with the old strict `v != 2` check, and
-// what a hypothetical v4 client hits on this server — fail with the typed
-// *VersionError rather than a stringly error.
-func TestHelloVersionNegotiation(t *testing.T) {
-	h := Hello{W: 64, H: 48, Format: frame.Gray8, Version: MinProtoVersion}
-	got, err := UnmarshalHello(MarshalHello(h))
-	if err != nil {
-		t.Fatalf("v2 HELLO rejected: %v", err)
+// TestHelloAckRoundTrip: HELLO_ACK has one 17-byte layout carrying the
+// version and the granted codec; the retired 12- and 16-byte forms and any
+// other length are rejected.
+func TestHelloAckRoundTrip(t *testing.T) {
+	want := HelloAck{SessionID: 9, MaxPayload: 1 << 20, Codec: CodecPackedMask}
+	b := MarshalHelloAck(want)
+	if len(b) != helloAckSize {
+		t.Fatalf("HELLO_ACK is %d bytes, want %d", len(b), helloAckSize)
 	}
-	if got.Version != MinProtoVersion {
-		t.Fatalf("negotiated version = %d, want %d", got.Version, MinProtoVersion)
+	if a, err := UnmarshalHelloAck(b); err != nil || a != want {
+		t.Fatalf("ack round trip = %+v %v, want %+v", a, err, want)
 	}
-	for _, v := range []uint32{MinProtoVersion - 1, ProtoVersion + 1, 0xffffffff} {
-		b := MarshalHello(Hello{W: 64, H: 48, Format: frame.Gray8, Version: ProtoVersion})
-		binary.LittleEndian.PutUint32(b[4:], v)
-		_, err := UnmarshalHello(b)
-		var ve *VersionError
-		if !errors.As(err, &ve) {
-			t.Fatalf("version %d: err = %v, want *VersionError", v, err)
+	for _, n := range []int{12, 14, 16} {
+		if _, err := UnmarshalHelloAck(b[:n]); err == nil {
+			t.Fatalf("%d-byte HELLO_ACK accepted", n)
 		}
-		if ve.Got != v || ve.Min != MinProtoVersion || ve.Max != ProtoVersion {
-			t.Fatalf("version %d: VersionError = %+v", v, ve)
+	}
+	for _, v := range []uint32{2, 3, 4, ProtoVersion + 1} {
+		bad := append([]byte(nil), b...)
+		binary.LittleEndian.PutUint32(bad[12:], v)
+		var ve *VersionError
+		if _, err := UnmarshalHelloAck(bad); !errors.As(err, &ve) || ve.Got != v {
+			t.Fatalf("version %d ack: err = %v, want *VersionError", v, err)
 		}
 	}
 }
 
-// TestHelloAckBothForms: the legacy 12-byte HELLO_ACK (what a v2 session
-// receives, and all an old client can parse) implies version 2; the 16-byte
-// v3 form carries the negotiated version explicitly.
-func TestHelloAckBothForms(t *testing.T) {
-	legacy := MarshalHelloAck(HelloAck{SessionID: 9, MaxPayload: 1 << 20, Version: 2})
-	if len(legacy) != 12 {
-		t.Fatalf("v2 HELLO_ACK is %d bytes, want 12 (old clients reject anything else)", len(legacy))
+// TestHelloVersionNegotiation pins the negotiation contract: there is one
+// protocol revision, so a HELLO negotiates ProtoVersion or nothing. Every
+// other version — the retired revisions 2–4 included — fails with the typed
+// *VersionError rather than a stringly error.
+func TestHelloVersionNegotiation(t *testing.T) {
+	b := MarshalHello(Hello{W: 64, H: 48, Format: frame.Gray8})
+	if got, err := UnmarshalHello(b); err != nil || got.W != 64 || got.H != 48 {
+		t.Fatalf("v%d HELLO = %+v %v", ProtoVersion, got, err)
 	}
-	a, err := UnmarshalHelloAck(legacy)
-	if err != nil || a.Version != 2 || a.SessionID != 9 {
-		t.Fatalf("legacy ack = %+v %v", a, err)
+	if v := binary.LittleEndian.Uint32(b[4:]); v != ProtoVersion {
+		t.Fatalf("HELLO carries version %d, want %d", v, ProtoVersion)
 	}
-	ext := MarshalHelloAck(HelloAck{SessionID: 9, MaxPayload: 1 << 20, Version: 3})
-	if len(ext) != 16 {
-		t.Fatalf("v3 HELLO_ACK is %d bytes, want 16", len(ext))
-	}
-	a, err = UnmarshalHelloAck(ext)
-	if err != nil || a.Version != 3 || a.SessionID != 9 || a.MaxPayload != 1<<20 {
-		t.Fatalf("extended ack = %+v %v", a, err)
-	}
-	if _, err := UnmarshalHelloAck(ext[:14]); err == nil {
-		t.Fatal("14-byte HELLO_ACK accepted")
+	for _, v := range []uint32{0, 1, 2, 3, 4, ProtoVersion + 1, 0xffffffff} {
+		bad := append([]byte(nil), b...)
+		binary.LittleEndian.PutUint32(bad[4:], v)
+		_, err := UnmarshalHello(bad)
+		var ve *VersionError
+		if !errors.As(err, &ve) || ve.Got != v {
+			t.Fatalf("version %d: err = %v, want *VersionError", v, err)
+		}
 	}
 }
 
@@ -128,6 +127,16 @@ func TestHelloRejectsBadMagicAndVersion(t *testing.T) {
 	binary.LittleEndian.PutUint32(bad[4:], ProtoVersion+7)
 	if _, err := UnmarshalHello(bad); err == nil || !strings.Contains(err.Error(), "version") {
 		t.Fatalf("bad version err = %v", err)
+	}
+	// The retired 30-byte layout (no codec byte) is rejected even when it
+	// carries the current version.
+	if _, err := UnmarshalHello(b[:helloSize-1]); err == nil {
+		t.Fatal("HELLO without the codec byte accepted")
+	}
+	bad = append([]byte(nil), b...)
+	bad[25] = 2
+	if _, err := UnmarshalHello(bad); err == nil || !strings.Contains(err.Error(), "block") {
+		t.Fatalf("block byte 2 err = %v", err)
 	}
 	bad = append([]byte(nil), b...)
 	bad[16] = byte(frame.BayerRGGB)

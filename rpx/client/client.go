@@ -83,13 +83,12 @@ type Config struct {
 	// whose row offsets are varint deltas. Decoding is transparent —
 	// LastEncoded and StreamFrame.Decode handle both containers — but the
 	// raw bytes differ, so leave this unset for byte-identity with v1
-	// captures. Requires a v4 server; older servers fail the handshake.
+	// captures.
 	PackedMask bool
-	// LabelFeedback negotiates protocol v5 so an open subscription may push
-	// region-label workloads back to its target session in-stream
-	// (Stream.SetLabels) — the closed-loop policy path. Leave unset for
-	// byte-identity with v3/v4 handshakes. Requires a v5 server; older
-	// servers fail the handshake.
+	// LabelFeedback is ignored.
+	//
+	// Deprecated: every subscription may push labels in-stream
+	// (Stream.SetLabels); there is nothing left to negotiate.
 	LabelFeedback bool
 	// DialTimeout bounds connection establishment (default 10s).
 	DialTimeout time.Duration
@@ -113,22 +112,21 @@ type Session struct {
 	addr string
 	cfg  Config
 
-	mu           sync.Mutex // serializes request/reply round trips
-	conn         net.Conn
-	br           *bufio.Reader
-	mw           *wire.MessageWriter // framing writer; serializes concurrent writers itself
-	closed       bool
-	broken       bool
-	id           uint64
-	maxPayload   int
-	protoVersion int     // negotiated protocol revision (from HELLO_ACK)
-	codec        uint8   // granted codec bits (from a v4 HELLO_ACK)
-	stream       *Stream // open push subscription, nil in request/reply mode
-	dialTimeout  time.Duration
-	timeout      time.Duration
-	lastLabels   []rpx.RegionLabel // replayed after reconnect; nil = never set
-	reconnects   int
-	rng          *rand.Rand // backoff jitter; guarded by mu
+	mu          sync.Mutex // serializes request/reply round trips
+	conn        net.Conn
+	br          *bufio.Reader
+	mw          *wire.MessageWriter // framing writer; serializes concurrent writers itself
+	closed      bool
+	broken      bool
+	id          uint64
+	maxPayload  int
+	codec       uint8   // granted codec bits (from the HELLO_ACK)
+	stream      *Stream // open push subscription, nil in request/reply mode
+	dialTimeout time.Duration
+	timeout     time.Duration
+	lastLabels  []rpx.RegionLabel // replayed after reconnect; nil = never set
+	reconnects  int
+	rng         *rand.Rand // backoff jitter; guarded by mu
 }
 
 // Dial connects to an rpxd server and negotiates a session.
@@ -172,20 +170,6 @@ func (s *Session) connectLocked() error {
 		Block:        s.cfg.Block,
 		Parallelism:  s.cfg.Parallelism,
 	}
-	switch {
-	case s.cfg.LabelFeedback:
-		// v5 is the lowest revision with in-stream label feedback; the
-		// HELLO byte layout is the v4 one plus the version number.
-		hello.Version = 5
-	case s.cfg.PackedMask:
-		// Pin v4, the revision that introduced the codec byte, so the
-		// packed handshake bytes never drift as ProtoVersion advances.
-		hello.Version = 4
-	default:
-		// Pin v3 so the default handshake and everything after it stay
-		// byte-identical to pre-codec clients — raw is the reference path.
-		hello.Version = 3
-	}
 	if s.cfg.PackedMask {
 		hello.Codec = wire.CodecPackedMask
 	}
@@ -203,12 +187,11 @@ func (s *Session) connectLocked() error {
 	s.mw = wire.NewMessageWriter(conn)
 	s.id = ack.SessionID
 	s.maxPayload = ack.MaxPayload
-	s.protoVersion = ack.Version
 	s.codec = ack.Codec
 	s.broken = false
 	if s.cfg.PackedMask && s.codec&wire.CodecPackedMask == 0 {
-		// A v4 server always grants the packed bit; anything else means the
-		// peer cannot honor what Config asked for.
+		// rpxd always grants the packed bit; anything else means the peer
+		// cannot honor what Config asked for.
 		conn.Close()
 		return fmt.Errorf("client: server did not grant the packed-mask codec")
 	}
@@ -216,19 +199,11 @@ func (s *Session) connectLocked() error {
 }
 
 // PackedMask reports whether the server granted the packed-metadata codec
-// at the handshake (Config.PackedMask was set and the peer speaks v4).
+// at the handshake (Config.PackedMask was set and the peer implements it).
 func (s *Session) PackedMask() bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.codec&wire.CodecPackedMask != 0
-}
-
-// ProtoVersion returns the protocol revision the server negotiated in the
-// HELLO_ACK (wire.MinProtoVersion for a legacy 12-byte ack).
-func (s *Session) ProtoVersion() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.protoVersion
 }
 
 // ID returns the server-assigned session id (of the newest connection, if

@@ -55,8 +55,7 @@ func runLabelBoundaryDifferential(t *testing.T, w, h, parallelism int, packed bo
 		t.Fatal(err)
 	}
 	sub, err := client.Dial(addr, client.Config{
-		W: 8, H: 8, Format: rpx.Gray8,
-		LabelFeedback: true, PackedMask: packed,
+		W: 8, H: 8, Format: rpx.Gray8, PackedMask: packed,
 	})
 	if err != nil {
 		t.Fatal(err)

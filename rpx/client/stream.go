@@ -12,7 +12,7 @@ import (
 	"repro/rpx"
 )
 
-// Streaming push mode (protocol v3).
+// Streaming push mode.
 //
 // Subscribe switches the session from request/reply to server push: the
 // server sends FRAME_PUSH batches as frames are captured, bounded by the
@@ -22,8 +22,9 @@ import (
 // ErrStreaming — the connection's framing belongs to the stream.
 //
 // A Stream is a single-consumer object: Recv and Close must not be called
-// concurrently with each other. Grant has its own write path and may be
-// called from any goroutine (typically the one consuming frames).
+// concurrently with each other. Grant and SetLabels have their own write
+// path and may be called from any goroutine, including while another
+// goroutine blocks in Recv.
 //
 // Failure semantics mirror the session's (see the package comment): any
 // transport error poisons the underlying session, the failing stream call
@@ -34,10 +35,6 @@ import (
 // ErrStreaming is returned by request/reply calls while a push stream owns
 // the connection.
 var ErrStreaming = errors.New("client: session is in streaming mode")
-
-// ErrStreamingUnsupported is returned by Subscribe when the server
-// negotiated protocol v2, which has no push mode.
-var ErrStreamingUnsupported = errors.New("client: server negotiated protocol v2, streaming needs v3")
 
 // SubscribeOptions parameterizes Subscribe.
 type SubscribeOptions struct {
@@ -92,8 +89,10 @@ type Stream struct {
 	id      uint64
 	nextSeq uint64
 	buf     []StreamFrame
-	done    bool
-	err     error
+	// done and err record how the stream ended. They are guarded by s.mu:
+	// Grant and SetLabels read them from goroutines other than Recv's.
+	done bool
+	err  error
 
 	// onApplied, when set, receives each LABELS_APPLIED synchronously from
 	// the goroutine calling Recv; unset, outcomes queue in applied.
@@ -101,8 +100,8 @@ type Stream struct {
 	applied   []LabelsApplied
 }
 
-// Subscribe opens a push stream. The session must have negotiated protocol
-// v3 and must not be broken, closed, or already streaming.
+// Subscribe opens a push stream. The session must not be broken, closed,
+// or already streaming.
 func (s *Session) Subscribe(opts SubscribeOptions) (*Stream, error) {
 	if opts.Credit < 0 || opts.Credit > wire.MaxCreditWindow {
 		return nil, fmt.Errorf("client: subscribe credit %d outside [0, %d]", opts.Credit, wire.MaxCreditWindow)
@@ -125,9 +124,6 @@ func (s *Session) Subscribe(opts SubscribeOptions) (*Stream, error) {
 		if err := s.reconnectLocked(); err != nil {
 			return nil, err
 		}
-	}
-	if s.protoVersion < 3 {
-		return nil, ErrStreamingUnsupported
 	}
 	rtyp, rpayload, err := s.roundTripLocked(wire.MsgSubscribe, wire.MarshalSubscribe(wire.Subscribe{
 		Target: opts.Target,
@@ -166,25 +162,62 @@ func (st *Stream) ID() uint64 { return st.id }
 func (st *Stream) NextSeq() uint64 { return st.nextSeq }
 
 // failTransport poisons the session — stream framing is request/reply
-// framing, a transport error desynchronizes both — and ends the stream.
+// framing, a transport error desynchronizes both — and ends the stream,
+// returning its terminal error.
 func (st *Stream) failTransport(err error) error {
 	st.s.mu.Lock()
+	defer st.s.mu.Unlock()
 	st.s.poisonLocked()
-	st.s.stream = nil
-	st.s.mu.Unlock()
-	st.done = true
-	st.err = err
-	return err
+	return st.endLocked(err)
 }
 
-// finish ends the stream without poisoning: the session's request/reply
-// framing is intact and resumes.
-func (st *Stream) finish(err error) {
+// finish ends the stream without poisoning — the session's request/reply
+// framing is intact and resumes — and returns its terminal error.
+func (st *Stream) finish(err error) error {
 	st.s.mu.Lock()
-	st.s.stream = nil
-	st.s.mu.Unlock()
-	st.done = true
-	st.err = err
+	defer st.s.mu.Unlock()
+	return st.endLocked(err)
+}
+
+// endLocked detaches the stream from its session and returns its terminal
+// error: the first one recorded, so every call on an ended stream reports
+// the same error even when Recv and Grant fail concurrently. Callers hold
+// s.mu.
+func (st *Stream) endLocked(err error) error {
+	if st.s.stream == st {
+		st.s.stream = nil
+	}
+	if !st.done {
+		st.done, st.err = true, err
+	}
+	return st.err
+}
+
+// ended reports whether the stream has ended, and with which error.
+func (st *Stream) ended() (bool, error) {
+	st.s.mu.Lock()
+	defer st.s.mu.Unlock()
+	return st.done, st.err
+}
+
+// send writes one client-to-server stream message (CREDIT, STREAM_LABELS,
+// UNSUBSCRIBE) on the connection's write side, failing with the stream's
+// terminal error once it has ended. The MessageWriter serializes it against
+// any concurrent write and emits the whole message in one vectored write,
+// so it can never tear another in-flight message.
+func (st *Stream) send(typ byte, payload []byte, what string) error {
+	s := st.s
+	s.mu.Lock()
+	done, err, conn, mw, maxPayload := st.done, st.err, s.conn, s.mw, s.maxPayload
+	s.mu.Unlock()
+	if done {
+		return err
+	}
+	conn.SetWriteDeadline(time.Now().Add(s.timeout))
+	if err := mw.WriteMessage(typ, payload, maxPayload); err != nil {
+		return st.failTransport(fmt.Errorf("client: %s: %w", what, err))
+	}
+	return nil
 }
 
 // Recv returns the next pushed frame, reading FRAME_PUSH batches off the
@@ -198,8 +231,8 @@ func (st *Stream) Recv() (StreamFrame, error) {
 			st.buf = st.buf[1:]
 			return f, nil
 		}
-		if st.done {
-			return StreamFrame{}, st.err
+		if done, err := st.ended(); done {
+			return StreamFrame{}, err
 		}
 		typ, payload, err := st.readMsg()
 		if err != nil {
@@ -219,8 +252,7 @@ func (st *Stream) Recv() (StreamFrame, error) {
 			if uerr != nil {
 				return StreamFrame{}, st.failTransport(uerr)
 			}
-			st.finish(re)
-			return StreamFrame{}, re
+			return StreamFrame{}, st.finish(re)
 		default:
 			return StreamFrame{}, st.failTransport(fmt.Errorf(
 				"%w: got message type %d while streaming", ErrBrokenSession, typ))
@@ -265,37 +297,29 @@ func (st *Stream) TakeLabelsApplied() []LabelsApplied {
 }
 
 // SetLabels pushes a region-label workload back to the subscription's
-// target session without leaving push mode — the closed-loop feedback path
-// (protocol v5, Config.LabelFeedback). The write returns immediately; the
-// server's acknowledgment (the first frame sequence number captured under
-// the new labels, or a rejection) is delivered through Recv to the
-// OnLabelsApplied callback or the TakeLabelsApplied queue. Like Grant, it
-// is safe to call while another goroutine blocks in Recv.
+// target session without leaving push mode — the closed-loop feedback
+// path. The write returns immediately; the server's acknowledgment (the
+// first frame sequence number captured under the new labels, or a
+// rejection) is delivered through Recv to the OnLabelsApplied callback or
+// the TakeLabelsApplied queue. Like Grant, it is safe to call while another
+// goroutine blocks in Recv.
 func (st *Stream) SetLabels(labels []rpx.RegionLabel) error {
-	s := st.s
-	if st.done {
-		return st.err
-	}
-	if v := s.ProtoVersion(); v < 5 {
-		return fmt.Errorf("client: in-stream labels need protocol v5 (Config.LabelFeedback), session negotiated v%d", v)
-	}
-	s.conn.SetWriteDeadline(time.Now().Add(s.timeout))
-	if err := s.mw.WriteMessage(wire.MsgStreamLabels, wire.MarshalStreamLabels(wire.StreamLabels{
+	return st.send(wire.MsgStreamLabels, wire.MarshalStreamLabels(wire.StreamLabels{
 		SubID:  st.id,
 		Labels: labels,
-	}), s.maxPayload); err != nil {
-		return st.failTransport(fmt.Errorf("client: stream labels: %w", err))
-	}
-	return nil
+	}), "stream labels")
 }
 
 // readMsg reads one message off the stream's connection. The stream owns
-// the read side while open (request/reply calls are locked out), so no
-// session lock is needed.
+// the read side while open (request/reply calls are locked out), so the
+// session lock is held only to snapshot the connection.
 func (st *Stream) readMsg() (byte, []byte, error) {
 	s := st.s
-	s.conn.SetReadDeadline(time.Now().Add(s.timeout))
-	return wire.ReadMessage(s.br, s.maxPayload)
+	s.mu.Lock()
+	conn, br, maxPayload := s.conn, s.br, s.maxPayload
+	s.mu.Unlock()
+	conn.SetReadDeadline(time.Now().Add(s.timeout))
+	return wire.ReadMessage(br, maxPayload)
 }
 
 // buffer validates one FRAME_PUSH payload and queues its frames.
@@ -331,21 +355,10 @@ func (st *Stream) Grant(n int) error {
 	if n <= 0 || n > wire.MaxCreditWindow {
 		return fmt.Errorf("client: grant %d outside [1, %d]", n, wire.MaxCreditWindow)
 	}
-	s := st.s
-	if st.done {
-		return st.err
-	}
-	// The MessageWriter serializes this against any concurrent write and
-	// emits the whole message in one vectored write, so a grant can never
-	// tear another in-flight message.
-	s.conn.SetWriteDeadline(time.Now().Add(s.timeout))
-	if err := s.mw.WriteMessage(wire.MsgCredit, wire.MarshalCredit(wire.Credit{
+	return st.send(wire.MsgCredit, wire.MarshalCredit(wire.Credit{
 		SubID: st.id,
 		N:     uint32(n),
-	}), s.maxPayload); err != nil {
-		return st.failTransport(fmt.Errorf("client: stream grant: %w", err))
-	}
-	return nil
+	}), "stream grant")
 }
 
 // Close unsubscribes cleanly: it sends UNSUBSCRIBE, then reads and discards
@@ -353,16 +366,13 @@ func (st *Stream) Grant(n int) error {
 // request/reply mode. After Close, Recv returns io.EOF. Close must not be
 // called concurrently with Recv.
 func (st *Stream) Close() error {
-	if st.done {
+	if done, _ := st.ended(); done {
 		return nil
 	}
-	s := st.s
-	s.conn.SetWriteDeadline(time.Now().Add(s.timeout))
-	err := s.mw.WriteMessage(wire.MsgUnsubscribe, wire.MarshalUnsubscribe(wire.Unsubscribe{
+	if err := st.send(wire.MsgUnsubscribe, wire.MarshalUnsubscribe(wire.Unsubscribe{
 		SubID: st.id,
-	}), s.maxPayload)
-	if err != nil {
-		return st.failTransport(fmt.Errorf("client: unsubscribe: %w", err))
+	}), "unsubscribe"); err != nil {
+		return err
 	}
 	for {
 		typ, payload, err := st.readMsg()
@@ -387,8 +397,7 @@ func (st *Stream) Close() error {
 			if uerr != nil {
 				return st.failTransport(uerr)
 			}
-			st.finish(re)
-			return re
+			return st.finish(re)
 		default:
 			return st.failTransport(fmt.Errorf(
 				"%w: got message type %d awaiting unsubscribe ack", ErrBrokenSession, typ))

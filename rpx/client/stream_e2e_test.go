@@ -24,11 +24,6 @@ func TestStreamPushBasic(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer producer.Close()
-	// Default clients pin v3 — the byte-identity reference path; only
-	// Config.PackedMask opts into the v4 codec handshake.
-	if v := producer.ProtoVersion(); v != 3 {
-		t.Fatalf("negotiated version %d, want 3", v)
-	}
 	sub, err := client.Dial(addr, client.Config{W: 8, H: 8, Format: rpx.Gray8})
 	if err != nil {
 		t.Fatal(err)
@@ -294,5 +289,65 @@ func TestStreamSubscribeErrors(t *testing.T) {
 	}
 	if _, err := sess.ServerStats(); err != nil {
 		t.Fatalf("request/reply after unsubscribe: %v", err)
+	}
+}
+
+// TestStreamGrantRacesStreamEnd: Grant and SetLabels may be called while
+// another goroutine is in Recv, including while Recv ends the stream. Under
+// -race this fails if the stream's terminal state is written or read
+// outside the session lock. Once ended, every call reports the same
+// terminal error, whichever goroutine hit it first.
+func TestStreamGrantRacesStreamEnd(t *testing.T) {
+	addr := startServer(t, server.Config{}, server.TCPConfig{})
+	producer, err := client.Dial(addr, client.Config{W: 16, H: 16, Format: rpx.Gray8, Block: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sub, err := client.Dial(addr, client.Config{W: 8, H: 8, Format: rpx.Gray8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sub.Close()
+	st, err := sub.Subscribe(client.SubscribeOptions{Target: producer.ID(), Credit: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			// Errors are expected once the stream has ended.
+			st.Grant(1)
+		}
+	}()
+	// Closing the producer ends the subscription server-side (an ERROR,
+	// then the server drops the connection, which a concurrent Grant may
+	// hit first); Recv observes the end while the grant loop still runs.
+	if err := producer.Close(); err != nil {
+		t.Fatal(err)
+	}
+	var end error
+	for end == nil {
+		_, end = st.Recv()
+	}
+	close(stop)
+	wg.Wait()
+
+	if _, err := st.Recv(); err != end {
+		t.Fatalf("Recv after the stream ended = %v, want the terminal %v", err, end)
+	}
+	if err := st.Grant(1); err != end {
+		t.Fatalf("Grant after the stream ended = %v, want the terminal %v", err, end)
+	}
+	if err := st.SetLabels([]rpx.RegionLabel{rpx.FullFrame(16, 16)}); err != end {
+		t.Fatalf("SetLabels after the stream ended = %v, want the terminal %v", err, end)
 	}
 }

@@ -55,6 +55,7 @@ stage_fuzz() {
     FUZZTIME="${FUZZTIME:-10s}"
     echo "== fuzz smoke (${FUZZTIME} per target)"
     go test -run='^$' -fuzz='^FuzzReadMessage$' -fuzztime="$FUZZTIME" ./internal/wire
+    go test -run='^$' -fuzz='^FuzzHello$' -fuzztime="$FUZZTIME" ./internal/wire
     go test -run='^$' -fuzz='^FuzzReadSubscribe$' -fuzztime="$FUZZTIME" ./internal/wire
     go test -run='^$' -fuzz='^FuzzReadFramePush$' -fuzztime="$FUZZTIME" ./internal/wire
     go test -run='^$' -fuzz='^FuzzReadStreamLabels$' -fuzztime="$FUZZTIME" ./internal/wire
