@@ -179,9 +179,16 @@ func (d *Decoder) Stats() DecoderStats { return d.stats }
 func (d *Decoder) ResetStats() { d.stats = DecoderStats{} }
 
 // DecodeFrame reconstructs the full decoded frame for the newest pushed
-// encoded frame.
+// encoded frame into a new frame.
 func (d *Decoder) DecodeFrame() (*frame.Frame, error) {
 	return d.DecodeWindow(0, 0, d.w, d.h)
+}
+
+// DecodeFrameInto is DecodeFrame into dst, a full-size frame of the
+// decoder's format whose every byte it overwrites. With a parallelism of 1
+// it allocates nothing once the decoder's scratch has grown.
+func (d *Decoder) DecodeFrameInto(dst *frame.Frame) error {
+	return d.DecodeWindowInto(dst, 0, 0)
 }
 
 // DecodeWindow reconstructs the rectangle [x0, x0+w) x [y0, y0+h) in decoded
@@ -204,20 +211,45 @@ func (d *Decoder) DecodeFrame() (*frame.Frame, error) {
 // accumulated statistics are too (each output row is charged exactly once;
 // warm-up rows are always discarded).
 func (d *Decoder) DecodeWindow(x0, y0, w, h int) (*frame.Frame, error) {
-	if len(d.history) == 0 {
-		return nil, fmt.Errorf("core: decode before any encoded frame was pushed")
-	}
-	if x0 < 0 || y0 < 0 || w <= 0 || h <= 0 || x0+w > d.w || y0+h > d.h {
-		return nil, fmt.Errorf("core: window (%d,%d %dx%d) outside %dx%d frame", x0, y0, w, h, d.w, d.h)
+	if err := d.checkWindow(x0, y0, w, h); err != nil {
+		return nil, err
 	}
 	out := frame.New(w, h, d.format)
+	if err := d.DecodeWindowInto(out, x0, y0); err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
+// checkWindow validates a decode request against the history and geometry.
+func (d *Decoder) checkWindow(x0, y0, w, h int) error {
+	if len(d.history) == 0 {
+		return fmt.Errorf("core: decode before any encoded frame was pushed")
+	}
+	if x0 < 0 || y0 < 0 || w <= 0 || h <= 0 || x0+w > d.w || y0+h > d.h {
+		return fmt.Errorf("core: window (%d,%d %dx%d) outside %dx%d frame", x0, y0, w, h, d.w, d.h)
+	}
+	return nil
+}
+
+// DecodeWindowInto is DecodeWindow into dst: it reconstructs the dst.W x
+// dst.H window anchored at (x0, y0), overwriting every byte of dst, which
+// must be in the decoder's format. With a parallelism of 1 it allocates
+// nothing once the decoder's scratch has grown, so a caller that recycles
+// its output frames decodes allocation-free.
+func (d *Decoder) DecodeWindowInto(dst *frame.Frame, x0, y0 int) error {
+	w, h := dst.W, dst.H
+	if err := d.checkWindow(x0, y0, w, h); err != nil {
+		return err
+	}
+	if dst.Format != d.format || len(dst.Pix) != w*h*d.bpp {
+		return fmt.Errorf("core: output frame %dx%d %v (%d bytes) is not a %v window",
+			w, h, dst.Format, len(dst.Pix), d.format)
+	}
 
 	nb := min(d.parallelism, max(1, h/minBandRows))
 	if nb <= 1 {
-		if err := d.decodeBand(&d.bands[0], out, x0, y0, w, 0, h, &d.stats); err != nil {
-			return nil, err
-		}
-		return out, nil
+		return d.decodeBand(&d.bands[0], dst, x0, y0, w, 0, h, &d.stats)
 	}
 
 	rows := (h + nb - 1) / nb
@@ -227,20 +259,20 @@ func (d *Decoder) DecodeWindow(x0, y0, w, h int) (*frame.Frame, error) {
 		wg.Add(1)
 		go func(b *bandScratch, r0 int) {
 			defer wg.Done()
-			// Bands write disjoint row ranges of out and read the shared
+			// Bands write disjoint row ranges of dst and read the shared
 			// history; each has its own sampler, PMMU, and stats.
 			b.stats = DecoderStats{}
-			b.err = d.decodeBand(b, out, x0, y0, w, r0, min(r0+rows, h), &b.stats)
+			b.err = d.decodeBand(b, dst, x0, y0, w, r0, min(r0+rows, h), &b.stats)
 		}(&bands[i], i*rows)
 	}
 	wg.Wait()
 	for i := range bands {
 		if bands[i].err != nil {
-			return nil, bands[i].err
+			return bands[i].err
 		}
 		d.stats.add(bands[i].stats)
 	}
-	return out, nil
+	return nil
 }
 
 // decodeBand reconstructs output rows [r0, r1) of the window anchored at

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -192,6 +193,94 @@ func TestAllocsDecodeSteadyState(t *testing.T) {
 		}
 		if got := testing.AllocsPerRun(20, decode); got != out {
 			t.Errorf("%s allocates %v per call, want %v (the output frame only)", c.name, got, out)
+		}
+	}
+}
+
+// TestDecodeIntoMatchesDecode pins DecodeFrameInto and DecodeWindowInto
+// byte-identical to DecodeFrame and DecodeWindow, with identical stats, at
+// every parallelism, into an output frame that still holds the previous
+// decode's pixels.
+func TestDecodeIntoMatchesDecode(t *testing.T) {
+	const w, h = 96, 64
+	sets := driftingLabels(rand.New(rand.NewSource(9)), 6, func() region.List {
+		return region.List{
+			{W: w, H: h, Stride: 3, Skip: 2},
+			{X: 10, Y: 5, W: 40, H: 30, Stride: 1, Skip: 3, Phase: 1},
+			{X: 50, Y: 20, W: 33, H: 40, Stride: 2, Skip: 1},
+		}
+	})
+	hist := encodeHistory(t, rand.New(rand.NewSource(5)), sets, w, h, 0)
+	for _, par := range []int{1, 2, 8} {
+		ref := NewDecoder(w, h, frame.Gray8, WithParallelism(par))
+		into := NewDecoder(w, h, frame.Gray8, WithParallelism(par))
+		full, win := frame.New(w, h, frame.Gray8), frame.New(40, 30, frame.Gray8)
+		for i := len(hist) - 1; i >= 0; i-- {
+			if err := ref.Push(hist[i]); err != nil {
+				t.Fatal(err)
+			}
+			if err := into.Push(hist[i]); err != nil {
+				t.Fatal(err)
+			}
+			want, err := ref.DecodeFrame()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := into.DecodeFrameInto(full); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(full.Pix, want.Pix) {
+				t.Fatalf("parallelism %d frame %d: DecodeFrameInto differs from DecodeFrame", par, i)
+			}
+			wantWin, err := ref.DecodeWindow(17, 23, 40, 30)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := into.DecodeWindowInto(win, 17, 23); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(win.Pix, wantWin.Pix) {
+				t.Fatalf("parallelism %d frame %d: DecodeWindowInto differs from DecodeWindow", par, i)
+			}
+		}
+		if ref.Stats() != into.Stats() {
+			t.Fatalf("parallelism %d: stats %+v, want %+v", par, into.Stats(), ref.Stats())
+		}
+		if err := into.DecodeWindowInto(win, 60, 40); err == nil {
+			t.Fatal("window past the frame edge accepted")
+		}
+		if err := into.DecodeFrameInto(frame.New(w, h, frame.RGB24)); err == nil {
+			t.Fatal("output frame in the wrong format accepted")
+		}
+	}
+}
+
+// TestAllocsDecodeInto gates the recycled-output decode at zero
+// allocations per call on the sequential path.
+func TestAllocsDecodeInto(t *testing.T) {
+	const w, h = 96, 64
+	labels := region.List{{W: w, H: h, Stride: 2, Skip: 2}, {X: 8, Y: 8, W: 50, H: 40, Stride: 1, Skip: 1}}
+	hist := encodeHistory(t, rand.New(rand.NewSource(6)), []region.List{labels, labels, labels}, w, h, 0)
+	dec := NewDecoder(w, h, frame.Gray8)
+	for i := len(hist) - 1; i >= 0; i-- {
+		if err := dec.Push(hist[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	full, win := frame.New(w, h, frame.Gray8), frame.New(40, 30, frame.Gray8)
+	for name, decode := range map[string]func() error{
+		"DecodeFrameInto":  func() error { return dec.DecodeFrameInto(full) },
+		"DecodeWindowInto": func() error { return dec.DecodeWindowInto(win, 17, 23) },
+	} {
+		if err := decode(); err != nil { // warm-up: grows the band scratch
+			t.Fatal(err)
+		}
+		if got := testing.AllocsPerRun(20, func() {
+			if err := decode(); err != nil {
+				t.Fatal(err)
+			}
+		}); got != 0 {
+			t.Errorf("%s: %v allocs per call, want 0", name, got)
 		}
 	}
 }

@@ -11,6 +11,7 @@
 package core
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"io"
@@ -255,30 +256,14 @@ func readExact(r io.Reader, n int) ([]byte, error) {
 // a panic), and allocations are bounded by the bytes actually present plus
 // one chunk, so a hostile length prefix cannot force an over-allocation.
 func ReadEncodedFrame(r io.Reader) (*EncodedFrame, error) {
-	hdr := make([]byte, 28)
+	hdr := make([]byte, encodedHeaderSize)
 	if _, err := io.ReadFull(r, hdr); err != nil {
 		return nil, fmt.Errorf("core: short header: %w", err)
 	}
-	if binary.LittleEndian.Uint32(hdr) != encodedMagic {
-		return nil, fmt.Errorf("core: bad magic %#x", binary.LittleEndian.Uint32(hdr))
+	ef, v, payloadLen, err := parseEncodedHeader(hdr)
+	if err != nil {
+		return nil, err
 	}
-	v := binary.LittleEndian.Uint32(hdr[4:])
-	if v != encodedVersionRaw && v != encodedVersionPacked {
-		return nil, fmt.Errorf("core: unsupported version %d", v)
-	}
-	w := int(binary.LittleEndian.Uint32(hdr[8:]))
-	h := int(binary.LittleEndian.Uint32(hdr[12:]))
-	bpp := int(binary.LittleEndian.Uint32(hdr[16:]))
-	idx := int(binary.LittleEndian.Uint32(hdr[20:]))
-	payloadLen := int(binary.LittleEndian.Uint32(hdr[24:]))
-	if w <= 0 || h <= 0 || w > MaxFrameDim || h > MaxFrameDim || bpp <= 0 || bpp > 4 {
-		return nil, fmt.Errorf("core: unreasonable header %dx%d bpp=%d", w, h, bpp)
-	}
-	if !payloadLenOK(payloadLen, w, h, bpp) {
-		return nil, fmt.Errorf("core: payload %d exceeds frame size", payloadLen)
-	}
-	ef := &EncodedFrame{W: w, H: h, BytesPerPixel: bpp, FrameIndex: idx}
-	var err error
 	if ef.Pix, err = readExact(r, payloadLen); err != nil {
 		return nil, fmt.Errorf("core: short payload: %w", err)
 	}
@@ -287,28 +272,110 @@ func ReadEncodedFrame(r io.Reader) (*EncodedFrame, error) {
 			return nil, err
 		}
 	} else {
-		offs := make([]byte, 4*(h+1))
+		offs := make([]byte, 4*(ef.H+1))
 		if _, err := io.ReadFull(r, offs); err != nil {
 			return nil, fmt.Errorf("core: short offsets: %w", err)
 		}
-		ef.RowOffsets = make([]uint32, h+1)
-		for i := range ef.RowOffsets {
-			ef.RowOffsets[i] = binary.LittleEndian.Uint32(offs[4*i:])
-		}
-		maskBytes, err := readExact(r, (w*h+3)/4)
+		ef.RowOffsets = decodeRowOffsets(offs)
+		maskBytes, err := readExact(r, (ef.W*ef.H+3)/4)
 		if err != nil {
 			return nil, fmt.Errorf("core: short mask: %w", err)
 		}
-		mask, err := bitpack.FromBytes(maskBytes, w*h)
-		if err != nil {
+		if ef.Mask, err = bitpack.FromBytes(maskBytes, ef.W*ef.H); err != nil {
 			return nil, err
 		}
-		ef.Mask = mask
 	}
 	if err := ef.Validate(); err != nil {
 		return nil, fmt.Errorf("core: corrupt encoded frame: %w", err)
 	}
 	return ef, nil
+}
+
+// ParseEncodedFrame deserializes a container already in memory, with the
+// same checks as ReadEncodedFrame: it accepts and rejects exactly the
+// inputs ReadEncodedFrame(bytes.NewReader(b)) does (trailing bytes are
+// ignored), and yields the same frame. Every length is bounds checked
+// against len(b) before use, so nothing is allocated on a hostile length.
+//
+// The frame's Pix, and for the raw container its mask, alias b rather than
+// copying it: b must stay unmodified for as long as the frame is in use.
+// ParseEncodedFrame never writes to b.
+func ParseEncodedFrame(b []byte) (*EncodedFrame, error) {
+	if len(b) < encodedHeaderSize {
+		return nil, fmt.Errorf("core: short header: %d bytes", len(b))
+	}
+	ef, v, payloadLen, err := parseEncodedHeader(b[:encodedHeaderSize])
+	if err != nil {
+		return nil, err
+	}
+	rest := b[encodedHeaderSize:]
+	if len(rest) < payloadLen {
+		return nil, fmt.Errorf("core: short payload: %d of %d bytes", len(rest), payloadLen)
+	}
+	// Capacity-capped, so an append to Pix can never overwrite the metadata.
+	ef.Pix, rest = rest[:payloadLen:payloadLen], rest[payloadLen:]
+	if v == encodedVersionPacked {
+		if err := readPackedMeta(bytes.NewReader(rest), ef); err != nil {
+			return nil, err
+		}
+	} else {
+		n := ef.W * ef.H
+		offLen, maskLen := 4*(ef.H+1), (n+3)/4
+		if len(rest) < offLen {
+			return nil, fmt.Errorf("core: short offsets: %d of %d bytes", len(rest), offLen)
+		}
+		ef.RowOffsets = decodeRowOffsets(rest[:offLen])
+		rest = rest[offLen:]
+		if len(rest) < maskLen {
+			return nil, fmt.Errorf("core: short mask: %d of %d bytes", len(rest), maskLen)
+		}
+		maskBytes := rest[:maskLen:maskLen]
+		if rem := n % 4; rem != 0 && maskBytes[maskLen-1]>>(2*rem) != 0 {
+			// FromBytes zeroes the final byte's padding fields in place.
+			maskBytes = bytes.Clone(maskBytes)
+		}
+		if ef.Mask, err = bitpack.FromBytes(maskBytes, n); err != nil {
+			return nil, err
+		}
+	}
+	if err := ef.Validate(); err != nil {
+		return nil, fmt.Errorf("core: corrupt encoded frame: %w", err)
+	}
+	return ef, nil
+}
+
+// parseEncodedHeader validates the fixed RPXE header and returns the frame
+// it describes (geometry and index only), the container version and the
+// declared payload length, which is already checked against the geometry.
+func parseEncodedHeader(hdr []byte) (ef *EncodedFrame, version uint32, payloadLen int, err error) {
+	if m := binary.LittleEndian.Uint32(hdr); m != encodedMagic {
+		return nil, 0, 0, fmt.Errorf("core: bad magic %#x", m)
+	}
+	v := binary.LittleEndian.Uint32(hdr[4:])
+	if v != encodedVersionRaw && v != encodedVersionPacked {
+		return nil, 0, 0, fmt.Errorf("core: unsupported version %d", v)
+	}
+	w := int(binary.LittleEndian.Uint32(hdr[8:]))
+	h := int(binary.LittleEndian.Uint32(hdr[12:]))
+	bpp := int(binary.LittleEndian.Uint32(hdr[16:]))
+	idx := int(binary.LittleEndian.Uint32(hdr[20:]))
+	payloadLen = int(binary.LittleEndian.Uint32(hdr[24:]))
+	if w <= 0 || h <= 0 || w > MaxFrameDim || h > MaxFrameDim || bpp <= 0 || bpp > 4 {
+		return nil, 0, 0, fmt.Errorf("core: unreasonable header %dx%d bpp=%d", w, h, bpp)
+	}
+	if !payloadLenOK(payloadLen, w, h, bpp) {
+		return nil, 0, 0, fmt.Errorf("core: payload %d exceeds frame size", payloadLen)
+	}
+	return &EncodedFrame{W: w, H: h, BytesPerPixel: bpp, FrameIndex: idx}, v, payloadLen, nil
+}
+
+// decodeRowOffsets decodes the raw container's little-endian offset table.
+func decodeRowOffsets(b []byte) []uint32 {
+	offs := make([]uint32, len(b)/4)
+	for i := range offs {
+		offs[i] = binary.LittleEndian.Uint32(b[4*i:])
+	}
+	return offs
 }
 
 // payloadLenOK reports whether a wire-declared payload length fits within

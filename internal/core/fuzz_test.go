@@ -4,6 +4,11 @@ import (
 	"bytes"
 	"encoding/binary"
 	"io"
+	"os"
+	"path/filepath"
+	"slices"
+	"strconv"
+	"strings"
 	"testing"
 
 	"repro/internal/frame"
@@ -132,6 +137,84 @@ func FuzzReadEncodedFrame(f *testing.F) {
 			if ef3.RowOffsets[y] != ef.RowOffsets[y] {
 				t.Fatalf("packed round trip RowOffsets[%d] = %d, want %d", y, ef3.RowOffsets[y], ef.RowOffsets[y])
 			}
+		}
+	})
+}
+
+// fuzzTruncatedPayloadSeed is a valid 1080p Gray8 header that declares a
+// full-frame payload and then ends: a parser that trusted the length would
+// slice or allocate 2 MB that never arrived.
+func fuzzTruncatedPayloadSeed() []byte {
+	hdr := make([]byte, 0, encodedHeaderSize)
+	hdr = binary.LittleEndian.AppendUint32(hdr, encodedMagic)
+	hdr = binary.LittleEndian.AppendUint32(hdr, encodedVersionRaw)
+	hdr = binary.LittleEndian.AppendUint32(hdr, 1920)
+	hdr = binary.LittleEndian.AppendUint32(hdr, 1080)
+	hdr = binary.LittleEndian.AppendUint32(hdr, 1)
+	hdr = binary.LittleEndian.AppendUint32(hdr, 0)
+	hdr = binary.LittleEndian.AppendUint32(hdr, 1920*1080)
+	return append(hdr, 0xAB, 0xCD)
+}
+
+// addCorpus seeds f with every []byte entry of another target's checked-in
+// corpus under testdata/fuzz, so regressions found against one parser are
+// replayed against its sibling too.
+func addCorpus(f *testing.F, target string) {
+	dir := filepath.Join("testdata", "fuzz", target)
+	names, err := os.ReadDir(dir)
+	if err != nil {
+		f.Fatal(err)
+	}
+	for _, n := range names {
+		raw, err := os.ReadFile(filepath.Join(dir, n.Name()))
+		if err != nil {
+			f.Fatal(err)
+		}
+		lines := strings.Split(strings.TrimSpace(string(raw)), "\n")
+		if len(lines) != 2 || !strings.HasPrefix(lines[1], "[]byte(") {
+			f.Fatalf("%s/%s: not a one-[]byte corpus entry", target, n.Name())
+		}
+		b, err := strconv.Unquote(strings.TrimSuffix(strings.TrimPrefix(lines[1], "[]byte("), ")"))
+		if err != nil {
+			f.Fatalf("%s/%s: %v", target, n.Name(), err)
+		}
+		f.Add([]byte(b))
+	}
+}
+
+// FuzzParseEncodedFrame checks the in-memory parser differentially against
+// the reader: both accept and reject the same inputs, accepted inputs
+// yield identical frames, and the parser never writes to its input.
+func FuzzParseEncodedFrame(f *testing.F) {
+	f.Add(fuzzEncodedSeed(f, frame.Gray8))
+	f.Add(fuzzEncodedSeed(f, frame.RGB24))
+	f.Add(fuzzPackedSeed(f, frame.Gray8))
+	f.Add(fuzzPackedSeed(f, frame.RGB24))
+	f.Add(fuzzHostilePayloadLenSeed())
+	f.Add(fuzzTruncatedPayloadSeed())
+	f.Add(fuzzDirtyPaddingSeed())
+	addCorpus(f, "FuzzReadEncodedFrame")
+	f.Fuzz(func(t *testing.T, data []byte) {
+		orig := bytes.Clone(data)
+		got, perr := ParseEncodedFrame(data)
+		want, rerr := ReadEncodedFrame(bytes.NewReader(data))
+		if !bytes.Equal(data, orig) {
+			t.Fatal("ParseEncodedFrame wrote to its input")
+		}
+		if (perr == nil) != (rerr == nil) {
+			t.Fatalf("parse error %v, read error %v", perr, rerr)
+		}
+		if perr != nil {
+			return
+		}
+		if got.W != want.W || got.H != want.H || got.BytesPerPixel != want.BytesPerPixel ||
+			got.FrameIndex != want.FrameIndex {
+			t.Fatalf("header %dx%d bpp=%d idx=%d, reader %dx%d bpp=%d idx=%d",
+				got.W, got.H, got.BytesPerPixel, got.FrameIndex, want.W, want.H, want.BytesPerPixel, want.FrameIndex)
+		}
+		if !bytes.Equal(got.Pix, want.Pix) || !slices.Equal(got.RowOffsets, want.RowOffsets) ||
+			!bytes.Equal(got.Mask.Bytes(), want.Mask.Bytes()) {
+			t.Fatal("parsed frame differs from the reader's")
 		}
 	})
 }

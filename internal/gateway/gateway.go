@@ -22,6 +22,7 @@ package gateway
 
 import (
 	"bufio"
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -399,8 +400,10 @@ func (g *Gateway) handle(conn net.Conn) {
 	// One MessageWriter per client connection: each message leaves in a
 	// single vectored write, and its internal lock keeps the streaming
 	// relay's pump goroutine from tearing frames against this loop's writes.
-	// Client reads stay fresh-alloc (no buffer reuse): HELLO and SET_LABELS
-	// payloads are retained verbatim for migration replay.
+	// After HELLO, every client message lands in cbuf, this connection's one
+	// read buffer, and is fully relayed before the next read overwrites it.
+	// The two payloads kept for migration replay are owned copies: HELLO
+	// is read fresh, SET_LABELS is cloned once the backend accepts it.
 	cmw := wire.NewMessageWriter(conn)
 	writeClient := func(typ byte, payload []byte) error {
 		conn.SetWriteDeadline(time.Now().Add(g.cfg.WriteTimeout))
@@ -468,6 +471,7 @@ func (g *Gateway) handle(conn net.Conn) {
 		return
 	}
 
+	var cbuf []byte
 	for {
 		conn.SetReadDeadline(time.Now().Add(g.cfg.ReadTimeout))
 		// A Shutdown that woke this connection before the deadline above
@@ -479,7 +483,7 @@ func (g *Gateway) handle(conn net.Conn) {
 		if draining {
 			return
 		}
-		typ, payload, err := wire.ReadMessage(cbr, g.cfg.MaxPayload)
+		typ, payload, err := wire.ReadMessageInto(cbr, &cbuf, g.cfg.MaxPayload)
 		if err != nil {
 			if errors.Is(err, wire.ErrTooLarge) {
 				writeErr(wire.CodeTooLarge, err.Error())
@@ -492,7 +496,7 @@ func (g *Gateway) handle(conn net.Conn) {
 		for typ == wire.MsgSubscribe {
 			start := time.Now()
 			var ok bool
-			typ, payload, ok = s.relayStream(conn, cbr, writeClient, payload)
+			typ, payload, ok = s.relayStream(conn, cbr, &cbuf, writeClient, payload)
 			if i := opIndex(wire.MsgSubscribe); i >= 0 {
 				g.opHist[i].Observe(time.Since(start))
 			}
@@ -658,7 +662,7 @@ func (s *proxySession) roundTrip(typ byte, payload []byte) (byte, []byte) {
 	rtyp, rpayload, err := s.forwardLocked(typ, payload)
 	if err == nil {
 		if typ == wire.MsgSetLabels && rtyp == wire.MsgAck {
-			s.labels = payload
+			s.labels = bytes.Clone(payload) // payload is the connection's read buffer
 		}
 		return rtyp, rpayload
 	}
@@ -685,7 +689,7 @@ func (s *proxySession) roundTrip(typ byte, payload []byte) (byte, []byte) {
 		return unavailable("retry on %s failed: %v", s.backendAddr, err)
 	}
 	if typ == wire.MsgSetLabels && rtyp == wire.MsgAck {
-		s.labels = payload
+		s.labels = bytes.Clone(payload)
 	}
 	return rtyp, rpayload
 }

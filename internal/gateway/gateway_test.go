@@ -445,6 +445,91 @@ func TestGatewayDrainMigration(t *testing.T) {
 	}
 }
 
+// TestGatewayLabelReplayOutlivesReadBuffer pins the ownership rule of the
+// gateway's per-connection read buffer: a CAPTURE that lands in the same
+// buffer after SET_LABELS must not change the labels kept for migration,
+// so a session moved off a killed backend replays the original label bytes
+// and decodes byte-identical to an in-process reference.
+func TestGatewayLabelReplayOutlivesReadBuffer(t *testing.T) {
+	b1, b2 := startBackend(t), startBackend(t)
+	byAddr := map[string]*testBackend{b1.addr: b1, b2.addr: b2}
+	gaddr, g := startGateway(t, []gateway.Backend{{Addr: b1.addr}, {Addr: b2.addr}}, nil)
+
+	// The frame payload is larger than the SET_LABELS payload but fits the
+	// read buffer's first allocation, so it overwrites the label bytes in
+	// place rather than landing in a fresh buffer.
+	const w, h = 48, 32
+	labels := []rpx.RegionLabel{
+		{X: 2, Y: 2, W: 30, H: 20, Stride: 2, Skip: 1},
+		{X: 20, Y: 10, W: 25, H: 18, Stride: 1, Skip: 2, Phase: 1},
+	}
+	sess, err := client.Dial(gaddr, client.Config{W: w, H: h, Format: rpx.Gray8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sess.Close()
+	if err := sess.SetRegionLabels(labels); err != nil {
+		t.Fatal(err)
+	}
+	fr := rpx.NewFrame(w, h, rpx.Gray8)
+	fillFrame(fr, 5, 0)
+	if _, err := sess.Capture(fr); err != nil {
+		t.Fatal(err)
+	}
+
+	var pinned string
+	for addr, bs := range g.Snapshot().Backends {
+		if bs.LocalSessions == 1 {
+			pinned = addr
+		}
+	}
+	if pinned == "" {
+		t.Fatal("no backend reports the session")
+	}
+	byAddr[pinned].kill()
+	// An idempotent request finds the dead backend, migrates the session
+	// (HELLO and labels replayed) and is retried on the survivor.
+	if _, err := sess.ServerStats(); err != nil {
+		t.Fatalf("stats across the kill: %v", err)
+	}
+	if snap := g.Snapshot(); snap.Rerouted != 1 || snap.Backends[pinned].LocalSessions != 0 {
+		t.Fatalf("session not migrated off the killed backend: %+v", snap)
+	}
+
+	ref, err := rpx.NewSystem(w, h, rpx.Gray8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ref.SetRegionLabels(labels); err != nil {
+		t.Fatal(err)
+	}
+	for i := 1; i <= 3; i++ {
+		fillFrame(fr, 5, i)
+		got, err := sess.Capture(fr)
+		if err != nil {
+			t.Fatalf("post-migration capture %d: %v", i, err)
+		}
+		want, err := ref.Capture(fr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != want {
+			t.Fatalf("post-migration capture %d stats %+v, want %+v (labels not replayed intact?)", i, got, want)
+		}
+		dGot, err := sess.Decoded()
+		if err != nil {
+			t.Fatalf("post-migration decode %d: %v", i, err)
+		}
+		dWant, err := ref.Decoded()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !dGot.Equal(dWant) {
+			t.Fatalf("post-migration decode %d differs from the reference", i)
+		}
+	}
+}
+
 // TestGatewayKillBackendMidMatrix is the acceptance e2e: a session matrix
 // runs through the gateway over three backends while the most-loaded
 // backend is hard-killed mid-matrix. The candidate-set oracle from the

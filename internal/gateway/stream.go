@@ -72,7 +72,10 @@ func (g *Gateway) remotePinBackend(id uint64) (string, bool) {
 // It returns the connection's next state: ok=false ends the connection;
 // otherwise pendingTyp/pendingPayload, when non-zero, carry a request that
 // arrived after the stream ended server-side and must be served normally.
-func (s *proxySession) relayStream(conn net.Conn, cbr *bufio.Reader, writeClient func(typ byte, payload []byte) error, payload []byte) (pendingTyp byte, pendingPayload []byte, ok bool) {
+// Client messages are read into *cbuf, the connection's read buffer, which
+// payload (the SUBSCRIBE) may alias: it is consumed before the first read,
+// and pendingPayload aliases *cbuf in turn.
+func (s *proxySession) relayStream(conn net.Conn, cbr *bufio.Reader, cbuf *[]byte, writeClient func(typ byte, payload []byte) error, payload []byte) (pendingTyp byte, pendingPayload []byte, ok bool) {
 	g := s.gw
 	writeErr := func(code uint16, msg string) bool {
 		return writeClient(wire.MsgError, wire.MarshalError(code, msg)) == nil
@@ -169,7 +172,7 @@ func (s *proxySession) relayStream(conn net.Conn, cbr *bufio.Reader, writeClient
 	// back to the request/reply loop.
 	for {
 		conn.SetReadDeadline(time.Now().Add(g.cfg.ReadTimeout))
-		typ, payload, err := wire.ReadMessage(cbr, g.cfg.MaxPayload)
+		typ, payload, err := wire.ReadMessageInto(cbr, cbuf, g.cfg.MaxPayload)
 		if err != nil {
 			s.mu.Lock()
 			s.closeBackendLocked()

@@ -291,7 +291,14 @@ func (l *Loop) runOnce(ctx context.Context) (attached bool, err error) {
 		tracker = slam.New(slam.DefaultConfig())
 	}
 
+	// Decodes ping-pong between two output frames: each overwrites the one
+	// prev is about to let go of, so decoding allocates nothing per push.
 	var prev, cur *frame.Frame
+	var out [2]*frame.Frame
+	for i := range out {
+		out[i] = frame.New(l.cfg.W, l.cfg.H, frame.Format(l.cfg.Format))
+	}
+	decodes := 0
 	sinceCycle := 0
 	pushes := 0
 	consumed := 0
@@ -319,8 +326,9 @@ func (l *Loop) runOnce(ctx context.Context) (attached bool, err error) {
 		if err := dec.Push(ef); err != nil {
 			return true, fmt.Errorf("policyloop: frame %d: %w", f.Seq, err)
 		}
-		img, err := dec.DecodeFrame()
-		if err != nil {
+		img := out[decodes%2]
+		decodes++
+		if err := dec.DecodeFrameInto(img); err != nil {
 			return true, fmt.Errorf("policyloop: decode frame %d: %w", f.Seq, err)
 		}
 		prev, cur = cur, img

@@ -304,13 +304,17 @@ func ReadMessageInto(r io.Reader, buf *[]byte, maxPayload int) (typ byte, payloa
 	}
 	// Fill [0, n) of the buffer, extending by at most readChunk beyond the
 	// bytes actually read so far (the header bytes are overwritten — they
-	// are already decoded).
+	// are already decoded). Growth is exact rather than append's geometric
+	// overshoot, so a reused buffer holds the largest message it has seen
+	// and nothing more.
 	filled := 0
 	b = b[:0]
 	for filled < n {
 		m := min(readChunk, n-filled)
 		if cap(b) < filled+m {
-			b = append(b[:filled], make([]byte, m)...)
+			grown := make([]byte, filled+m)
+			copy(grown, b[:filled])
+			b = grown
 		} else {
 			b = b[:filled+m]
 		}

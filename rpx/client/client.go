@@ -37,7 +37,6 @@ package client
 
 import (
 	"bufio"
-	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -363,13 +362,14 @@ func (s *Session) DecodeWindow(x, y, w, h int) (*rpx.Frame, error) {
 }
 
 // LastEncoded fetches the newest encoded frame in its packed (RPXE)
-// representation — the same container .rpxs streams use.
+// representation — the same container .rpxs streams use. The frame is
+// parsed in place from the reply, which it owns.
 func (s *Session) LastEncoded() (*rpx.EncodedFrame, error) {
 	payload, err := s.call(wire.MsgGetEncoded, nil, wire.MsgEncoded, true)
 	if err != nil {
 		return nil, err
 	}
-	return core.ReadEncodedFrame(bytes.NewReader(payload))
+	return core.ParseEncodedFrame(payload)
 }
 
 // ServerStats fetches a snapshot of the whole server's statistics.

@@ -63,13 +63,18 @@ type StreamFrame struct {
 	// the push that carried this frame.
 	Dropped uint64
 	// Raw is the encoded frame in the RPXE container framing —
-	// byte-identical to LastEncoded's wire payload for the same frame.
+	// byte-identical to LastEncoded's wire payload for the same frame. Each
+	// frame owns its Raw: Recv copies it out of the connection's read
+	// buffer once, and nothing else references or reuses that memory.
 	Raw []byte
 }
 
-// Decode unpacks the frame's RPXE container.
+// Decode unpacks the frame's RPXE container in place. The returned frame's
+// pixel payload (and, for the raw container, its mask) shares Raw's
+// memory, so Raw must not be modified while the frame is in use; Decode
+// itself never writes to Raw.
 func (f *StreamFrame) Decode() (*rpx.EncodedFrame, error) {
-	return core.ReadEncodedFrame(bytes.NewReader(f.Raw))
+	return core.ParseEncodedFrame(f.Raw)
 }
 
 // LabelsApplied reports the outcome of one in-stream SetLabels: the first
@@ -89,6 +94,9 @@ type Stream struct {
 	id      uint64
 	nextSeq uint64
 	buf     []StreamFrame
+	// rbuf is the connection's read buffer while the stream owns the read
+	// side: every message lands in it, and buffer copies each frame out.
+	rbuf []byte
 	// done and err record how the stream ended. They are guarded by s.mu:
 	// Grant and SetLabels read them from goroutines other than Recv's.
 	done bool
@@ -310,7 +318,8 @@ func (st *Stream) SetLabels(labels []rpx.RegionLabel) error {
 	}), "stream labels")
 }
 
-// readMsg reads one message off the stream's connection. The stream owns
+// readMsg reads one message off the stream's connection into the stream's
+// read buffer; the payload is valid until the next readMsg. The stream owns
 // the read side while open (request/reply calls are locked out), so the
 // session lock is held only to snapshot the connection.
 func (st *Stream) readMsg() (byte, []byte, error) {
@@ -319,10 +328,12 @@ func (st *Stream) readMsg() (byte, []byte, error) {
 	conn, br, maxPayload := s.conn, s.br, s.maxPayload
 	s.mu.Unlock()
 	conn.SetReadDeadline(time.Now().Add(s.timeout))
-	return wire.ReadMessage(br, maxPayload)
+	return wire.ReadMessageInto(br, &st.rbuf, maxPayload)
 }
 
-// buffer validates one FRAME_PUSH payload and queues its frames.
+// buffer validates one FRAME_PUSH payload and queues its frames, each with
+// its own exact-size copy of the container (the payload is the stream's
+// reused read buffer).
 func (st *Stream) buffer(payload []byte) error {
 	p, err := wire.UnmarshalFramePush(payload)
 	if err != nil {
@@ -341,7 +352,7 @@ func (st *Stream) buffer(payload []byte) error {
 				PixelFraction: f.Stats.PixelFraction,
 			},
 			Dropped: p.Dropped,
-			Raw:     f.Enc,
+			Raw:     bytes.Clone(f.Enc),
 		})
 	}
 	return nil

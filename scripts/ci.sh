@@ -36,13 +36,18 @@ stage_tier1() {
 # ---------------------------------------------------------------- alloc
 
 # The steady-state allocation contracts of the pooled hot path (mask
-# popcount, pooled encode, ISP frames, wire framing, capture). Deliberately WITHOUT
+# popcount, pooled encode, recycled-output decode, ISP frames, wire framing,
+# capture, the policy motion kernel). Deliberately WITHOUT
 # -race — the race runtime changes allocation counts, so these
 # testing.AllocsPerRun assertions are only meaningful in a plain build.
+#
+# The runner calls each stage inside an `if`, where sh ignores `set -e`, so
+# every command below ends in `|| return 1` to fail its stage.
 stage_alloc() {
     echo "== alloc gate (AllocsPerRun, no -race)"
     go test -count=1 -run='^TestAllocs' \
-        ./internal/bitpack ./internal/core ./internal/isp ./internal/wire ./rpx
+        ./internal/bitpack ./internal/core ./internal/isp ./internal/policy \
+        ./internal/wire ./rpx || return 1
 }
 
 # ----------------------------------------------------------------- fuzz
@@ -50,20 +55,22 @@ stage_alloc() {
 # A short budget per untrusted decode surface, plus the span-fill encoder
 # and the run-length decoder against their per-pixel references. Regressions the fuzzer finds land in
 # testdata/fuzz/ seed corpora, which tier1's -race run then replays forever
-# after.
+# after. Every target ends in `|| return 1` (see stage_alloc), so any one
+# failing target fails the stage.
 stage_fuzz() {
     FUZZTIME="${FUZZTIME:-10s}"
     echo "== fuzz smoke (${FUZZTIME} per target)"
-    go test -run='^$' -fuzz='^FuzzReadMessage$' -fuzztime="$FUZZTIME" ./internal/wire
-    go test -run='^$' -fuzz='^FuzzHello$' -fuzztime="$FUZZTIME" ./internal/wire
-    go test -run='^$' -fuzz='^FuzzReadSubscribe$' -fuzztime="$FUZZTIME" ./internal/wire
-    go test -run='^$' -fuzz='^FuzzReadFramePush$' -fuzztime="$FUZZTIME" ./internal/wire
-    go test -run='^$' -fuzz='^FuzzReadStreamLabels$' -fuzztime="$FUZZTIME" ./internal/wire
-    go test -run='^$' -fuzz='^FuzzReadEncodedFrame$' -fuzztime="$FUZZTIME" ./internal/core
-    go test -run='^$' -fuzz='^FuzzStreamReader$' -fuzztime="$FUZZTIME" ./internal/core
-    go test -run='^$' -fuzz='^FuzzEncodeRows$' -fuzztime="$FUZZTIME" ./internal/core
-    go test -run='^$' -fuzz='^FuzzDecodeWindow$' -fuzztime="$FUZZTIME" ./internal/core
-    go test -run='^$' -fuzz='^FuzzMaskCodec$' -fuzztime="$FUZZTIME" ./internal/bitpack
+    go test -run='^$' -fuzz='^FuzzReadMessage$' -fuzztime="$FUZZTIME" ./internal/wire || return 1
+    go test -run='^$' -fuzz='^FuzzHello$' -fuzztime="$FUZZTIME" ./internal/wire || return 1
+    go test -run='^$' -fuzz='^FuzzReadSubscribe$' -fuzztime="$FUZZTIME" ./internal/wire || return 1
+    go test -run='^$' -fuzz='^FuzzReadFramePush$' -fuzztime="$FUZZTIME" ./internal/wire || return 1
+    go test -run='^$' -fuzz='^FuzzReadStreamLabels$' -fuzztime="$FUZZTIME" ./internal/wire || return 1
+    go test -run='^$' -fuzz='^FuzzReadEncodedFrame$' -fuzztime="$FUZZTIME" ./internal/core || return 1
+    go test -run='^$' -fuzz='^FuzzParseEncodedFrame$' -fuzztime="$FUZZTIME" ./internal/core || return 1
+    go test -run='^$' -fuzz='^FuzzStreamReader$' -fuzztime="$FUZZTIME" ./internal/core || return 1
+    go test -run='^$' -fuzz='^FuzzEncodeRows$' -fuzztime="$FUZZTIME" ./internal/core || return 1
+    go test -run='^$' -fuzz='^FuzzDecodeWindow$' -fuzztime="$FUZZTIME" ./internal/core || return 1
+    go test -run='^$' -fuzz='^FuzzMaskCodec$' -fuzztime="$FUZZTIME" ./internal/bitpack || return 1
 }
 
 # ---------------------------------------------------------------- smoke
