@@ -143,7 +143,9 @@ func (m *Mask2) Set(i int, c Code) {
 	m.data[i>>2] = b
 }
 
-// Fill sets elements [lo, hi) to code c.
+// Fill sets elements [lo, hi) to code c. The whole bytes between the
+// partial head and tail bytes are written as one pattern byte doubled by
+// copy, so a long run costs a few memmoves rather than a loop per byte.
 func (m *Mask2) Fill(lo, hi int, c Code) {
 	if lo < 0 || hi > m.n || lo > hi {
 		panic(fmt.Sprintf("bitpack: fill range [%d,%d) out of range [0,%d]", lo, hi, m.n))
@@ -154,14 +156,49 @@ func (m *Mask2) Fill(lo, hi int, c Code) {
 		lo++
 	}
 	// Middle: whole bytes.
-	pattern := byte(c) | byte(c)<<2 | byte(c)<<4 | byte(c)<<6
-	for ; hi-lo >= 4; lo += 4 {
-		m.data[lo>>2] = pattern
+	if mid := m.data[lo>>2 : hi>>2]; len(mid) > 0 {
+		mid[0] = byte(c) * 0x55
+		for k := 1; k < len(mid); k *= 2 {
+			copy(mid[k:], mid[:k])
+		}
+		lo += 4 * len(mid)
 	}
 	// Tail.
 	for ; lo < hi; lo++ {
 		m.Set(lo, c)
 	}
+}
+
+// Run returns the code of element lo and the end of the run of identical
+// codes starting there, scanning no further than hi (lo < hi <= Len()).
+// Whole bytes of the run are compared eight at a time against the code's
+// repeated bit pattern (0x00 N, 0x55 St, 0xAA Sk, 0xFF R), so a run costs
+// one word compare per 32 elements plus a few per-element steps at its
+// ends. The decoder's address translation and the run-length encoder both
+// walk the mask with it.
+func (m *Mask2) Run(lo, hi int) (Code, int) {
+	if lo < 0 || hi > m.n || lo >= hi {
+		panic(fmt.Sprintf("bitpack: run range [%d,%d) out of range [0,%d)", lo, hi, m.n))
+	}
+	mask := m.data
+	c := mask[lo>>2] >> (uint(lo&3) * 2) & 3
+	i := lo + 1
+	for ; i < hi && i&3 != 0; i++ {
+		if mask[i>>2]>>(uint(i&3)*2)&3 != c {
+			return Code(c), i
+		}
+	}
+	pat := c * 0x55
+	for word := uint64(pat) * 0x0101010101010101; hi-i >= 32 && binary.LittleEndian.Uint64(mask[i>>2:]) == word; {
+		i += 32
+	}
+	for hi-i >= 4 && mask[i>>2] == pat {
+		i += 4
+	}
+	for i < hi && mask[i>>2]>>(uint(i&3)*2)&3 == c {
+		i++
+	}
+	return Code(c), i
 }
 
 // Reset sets every element to CodeN.

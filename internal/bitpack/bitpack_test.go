@@ -1,6 +1,7 @@
 package bitpack
 
 import (
+	"bytes"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -163,6 +164,85 @@ func TestFillAndHistogram(t *testing.T) {
 	h := m.Histogram()
 	if h[CodeN] != 4 || h[CodeSt] != 49 || h[CodeSk] != 0 || h[CodeR] != 50 {
 		t.Errorf("Histogram = %v, want [4 49 0 50]", h)
+	}
+	// Runs that cross whole 64-element spans of bytes, at every head and
+	// tail alignment, over a random background: Fill must write exactly
+	// what a Set loop writes, and nothing outside [lo, hi).
+	rng := rand.New(rand.NewSource(5))
+	for headAlign := 0; headAlign < 4; headAlign++ {
+		for tailAlign := 0; tailAlign < 4; tailAlign++ {
+			for _, words := range []int{0, 1, 2, 3, 17} {
+				for c := CodeN; c <= CodeR; c++ {
+					lo := 8 + headAlign
+					hi := 8 + 64*words + 4*rng.Intn(16) + tailAlign
+					if hi < lo {
+						hi = lo
+					}
+					got := NewMask2(hi + 9)
+					for i := 0; i < got.Len(); i++ {
+						got.Set(i, Code(rng.Intn(4)))
+					}
+					want := got.Clone()
+					for i := lo; i < hi; i++ {
+						want.Set(i, c)
+					}
+					got.Fill(lo, hi, c)
+					if !bytes.Equal(got.Bytes(), want.Bytes()) {
+						t.Fatalf("Fill(%d, %d, %v) differs from a Set loop", lo, hi, c)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestRunMatchesGet checks the word-at-a-time run scanner against a
+// per-element Get loop: every start alignment, runs that cross 32-element
+// words, and scan bounds that cut a run short.
+func TestRunMatchesGet(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	refRun := func(m *Mask2, lo, hi int) (Code, int) {
+		c, j := m.Get(lo), lo+1
+		for j < hi && m.Get(j) == c {
+			j++
+		}
+		return c, j
+	}
+	for trial := 0; trial < 200; trial++ {
+		// Long runs (up to three words and change) with occasional single
+		// elements, so word compares start and stop at every offset.
+		n := 1 + rng.Intn(600)
+		m := NewMask2(n)
+		for i := 0; i < n; {
+			run := 1 + rng.Intn(110)
+			if rng.Intn(4) == 0 {
+				run = 1
+			}
+			run = min(run, n-i)
+			m.Fill(i, i+run, Code(rng.Intn(4)))
+			i += run
+		}
+		for align := 0; align < 4; align++ {
+			for lo := align; lo < n; lo += 4 {
+				for _, hi := range []int{n, lo + 1 + rng.Intn(n-lo)} {
+					c, end := m.Run(lo, hi)
+					wc, wend := refRun(m, lo, hi)
+					if c != wc || end != wend {
+						t.Fatalf("n=%d Run(%d, %d) = (%v, %d), want (%v, %d)", n, lo, hi, c, end, wc, wend)
+					}
+				}
+			}
+		}
+	}
+	// A whole mask of one code is one run, whatever the start.
+	for c := CodeN; c <= CodeR; c++ {
+		m := NewMask2(1000)
+		m.Fill(0, 1000, c)
+		for lo := 0; lo < 4; lo++ {
+			if got, end := m.Run(lo, 1000); got != c || end != 1000 {
+				t.Fatalf("uniform %v mask: Run(%d, 1000) = (%v, %d)", c, lo, got, end)
+			}
+		}
 	}
 }
 

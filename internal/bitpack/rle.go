@@ -42,20 +42,9 @@ func AppendPacked(dst []byte, m *Mask2) []byte {
 	start := len(dst)
 	dst = append(dst, MaskCodecRLE)
 	rawSize := len(m.data)
-	n := m.n
 	var tmp [binary.MaxVarintLen64]byte
-	for i := 0; i < n; {
-		c := m.Get(i)
-		j := i + 1
-		// Extend the run a whole byte (4 elements) at a time while the
-		// next byte is the run code's fill pattern.
-		pattern := byte(c) * 0x55
-		for j&3 == 0 && n-j >= 4 && m.data[j>>2] == pattern {
-			j += 4
-		}
-		for j < n && m.Get(j) == c {
-			j++
-		}
+	for i := 0; i < m.n; {
+		c, j := m.Run(i, m.n)
 		k := binary.PutUvarint(tmp[:], uint64(j-i-1)<<2|uint64(c))
 		if len(dst)-start-1+k >= rawSize {
 			// RLE cannot win; fall back to the raw body. Checked before

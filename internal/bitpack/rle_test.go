@@ -2,9 +2,41 @@ package bitpack
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math/rand"
 	"testing"
 )
+
+// appendPackedRef is the element-at-a-time reference encoder: it extends
+// each run with Get, a whole byte at a time only while the position is
+// byte-aligned. AppendPacked must match it byte for byte.
+func appendPackedRef(dst []byte, m *Mask2) []byte {
+	start := len(dst)
+	dst = append(dst, MaskCodecRLE)
+	rawSize := len(m.data)
+	n := m.n
+	var tmp [binary.MaxVarintLen64]byte
+	for i := 0; i < n; {
+		c := m.Get(i)
+		j := i + 1
+		pattern := byte(c) * 0x55
+		for j&3 == 0 && n-j >= 4 && m.data[j>>2] == pattern {
+			j += 4
+		}
+		for j < n && m.Get(j) == c {
+			j++
+		}
+		k := binary.PutUvarint(tmp[:], uint64(j-i-1)<<2|uint64(c))
+		if len(dst)-start-1+k >= rawSize {
+			dst = dst[:start]
+			dst = append(dst, MaskCodecRaw)
+			return append(dst, m.data...)
+		}
+		dst = append(dst, tmp[:k]...)
+		i = j
+	}
+	return dst
+}
 
 // randMask builds a mask with region-like structure: runs of a single code
 // with geometrically distributed lengths, occasionally a pure random stretch.
@@ -47,6 +79,39 @@ func TestPackedRoundTrip(t *testing.T) {
 			if !bytes.Equal(got.Bytes(), m.Bytes()) {
 				t.Fatalf("n=%d: decoded storage differs from canonical", n)
 			}
+		}
+	}
+}
+
+// TestAppendPackedMatchesRef: the word-at-a-time encoder emits exactly the
+// bytes of the element-at-a-time reference, on region-like masks, on
+// uniformly random masks (the raw fallback) and on masks of few long runs.
+func TestAppendPackedMatchesRef(t *testing.T) {
+	rng := rand.New(rand.NewSource(13))
+	for trial := 0; trial < 2000; trial++ {
+		n := rng.Intn(3000)
+		var m *Mask2
+		switch trial % 3 {
+		case 0:
+			m = randMask(rng, n)
+		case 1:
+			m = NewMask2(n)
+			for i := 0; i < n; i++ {
+				m.Set(i, Code(rng.Intn(4)))
+			}
+		default:
+			m = NewMask2(n)
+			for i := 0; i < n; {
+				run := min(1+rng.Intn(700), n-i)
+				m.Fill(i, i+run, Code(rng.Intn(4)))
+				i += run
+			}
+		}
+		prefix := []byte{0xAB}
+		got := AppendPacked(prefix, m)
+		want := appendPackedRef([]byte{0xAB}, m)
+		if !bytes.Equal(got, want) {
+			t.Fatalf("trial %d (n=%d): AppendPacked differs from the reference encoder", trial, n)
 		}
 	}
 }

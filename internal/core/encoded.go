@@ -268,7 +268,16 @@ func ReadEncodedFrame(r io.Reader) (*EncodedFrame, error) {
 		return nil, fmt.Errorf("core: short payload: %w", err)
 	}
 	if v == encodedVersionPacked {
-		if err := readPackedMeta(r, ef); err != nil {
+		offCap, maskCap := packedBlockCaps(ef.W, ef.H)
+		offs, err := readPackedBlock(r, offCap, "offset block")
+		if err != nil {
+			return nil, err
+		}
+		mask, err := readPackedBlock(r, maskCap, "mask block")
+		if err != nil {
+			return nil, err
+		}
+		if err := decodePackedMeta(ef, offs, mask); err != nil {
 			return nil, err
 		}
 	} else {
@@ -299,7 +308,8 @@ func ReadEncodedFrame(r io.Reader) (*EncodedFrame, error) {
 //
 // The frame's Pix, and for the raw container its mask, alias b rather than
 // copying it: b must stay unmodified for as long as the frame is in use.
-// ParseEncodedFrame never writes to b.
+// The packed container's metadata is decoded straight from b into a fresh
+// offset table and mask. ParseEncodedFrame never writes to b.
 func ParseEncodedFrame(b []byte) (*EncodedFrame, error) {
 	if len(b) < encodedHeaderSize {
 		return nil, fmt.Errorf("core: short header: %d bytes", len(b))
@@ -315,7 +325,16 @@ func ParseEncodedFrame(b []byte) (*EncodedFrame, error) {
 	// Capacity-capped, so an append to Pix can never overwrite the metadata.
 	ef.Pix, rest = rest[:payloadLen:payloadLen], rest[payloadLen:]
 	if v == encodedVersionPacked {
-		if err := readPackedMeta(bytes.NewReader(rest), ef); err != nil {
+		offCap, maskCap := packedBlockCaps(ef.W, ef.H)
+		offs, tail, err := cutPackedBlock(rest, offCap, "offset block")
+		if err != nil {
+			return nil, err
+		}
+		mask, _, err := cutPackedBlock(tail, maskCap, "mask block")
+		if err != nil {
+			return nil, err
+		}
+		if err := decodePackedMeta(ef, offs, mask); err != nil {
 			return nil, err
 		}
 	} else {

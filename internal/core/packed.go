@@ -8,21 +8,24 @@ import (
 	"repro/internal/bitpack"
 )
 
-// RPXE v2: the packed-metadata container.
+// RPXE v2: the packed-metadata container, the one form encoded frames take
+// on the wire (GET_ENCODED replies and FRAME_PUSH records).
 //
 // Version 1 serializes the decoder metadata raw — 4 bytes per row offset
-// plus the 2 bpp EncMask, the paper's ~8% overhead (§3). Version 2 keeps
-// the 28-byte header and pixel payload byte-identical but replaces the
-// metadata tail with two length-prefixed blocks:
+// plus the 2 bpp EncMask, the paper's ~8% overhead (§3) — and stays the
+// .rpxs file form and the byte-identity reference (AppendTo/WriteTo).
+// Version 2 keeps the 28-byte header and pixel payload byte-identical but
+// replaces the metadata tail with two length-prefixed blocks:
 //
 //	u32 offLen  | uvarint row-offset deltas (H values; RowOffsets[0] is 0)
 //	u32 maskLen | packed mask (codec id + body, see bitpack.AppendPacked)
 //
 // Offsets are monotone with per-row deltas bounded by W, so deltas are
-// small uvarints; the mask is RLE with a raw fallback. Both decode under
-// hard caps derived from the header geometry, so a hostile length prefix
-// cannot force an over-allocation. ReadEncodedFrame accepts both versions;
-// which one a transport emits is negotiated at HELLO (wire.CodecPackedMask).
+// small uvarints; the mask is RLE with a raw fallback. Both block lengths
+// are capped by what the header geometry can produce before anything is
+// read or allocated, so a hostile length prefix cannot force an
+// over-allocation. ReadEncodedFrame and ParseEncodedFrame accept both
+// versions and share one v2 metadata parser, decodePackedMeta.
 
 // RPXE container versions.
 const (
@@ -69,33 +72,51 @@ func (ef *EncodedFrame) AppendPacked(dst []byte) []byte {
 	return dst
 }
 
-// readU32 reads one little-endian length prefix.
-func readU32(r io.Reader) (uint32, error) {
-	var b [4]byte
-	if _, err := io.ReadFull(r, b[:]); err != nil {
-		return 0, err
-	}
-	return binary.LittleEndian.Uint32(b[:]), nil
+// packedBlockCaps returns the largest offset-delta block and packed-mask
+// block a w x h frame's encoder can produce: the caps every v2 length
+// prefix is checked against before use.
+func packedBlockCaps(w, h int) (offCap, maskCap int64) {
+	return int64(binary.MaxVarintLen32) * int64(h), int64(bitpack.PackedMaxSize(w * h))
 }
 
-// readPackedMeta reads the v2 metadata tail (offset-delta block then packed
-// mask block) into ef, whose geometry the caller has already validated
-// against MaxFrameDim. Both block lengths are capped by what the geometry
-// can legitimately produce before any allocation happens.
-func readPackedMeta(r io.Reader, ef *EncodedFrame) error {
-	w, h := ef.W, ef.H
+// cutPackedBlock splits one length-prefixed v2 block off the front of b.
+func cutPackedBlock(b []byte, limit int64, what string) (block, rest []byte, err error) {
+	if len(b) < 4 {
+		return nil, nil, fmt.Errorf("core: short %s length: %d bytes", what, len(b))
+	}
+	n := binary.LittleEndian.Uint32(b)
+	if int64(n) > limit {
+		return nil, nil, fmt.Errorf("core: %s of %d bytes exceeds cap %d", what, n, limit)
+	}
+	if b = b[4:]; int64(len(b)) < int64(n) {
+		return nil, nil, fmt.Errorf("core: short %s: %d of %d bytes", what, len(b), n)
+	}
+	return b[:n], b[n:], nil
+}
 
-	offLen, err := readU32(r)
+// readPackedBlock reads one length-prefixed v2 block from r.
+func readPackedBlock(r io.Reader, limit int64, what string) ([]byte, error) {
+	var l [4]byte
+	if _, err := io.ReadFull(r, l[:]); err != nil {
+		return nil, fmt.Errorf("core: short %s length: %w", what, err)
+	}
+	n := binary.LittleEndian.Uint32(l[:])
+	if int64(n) > limit {
+		return nil, fmt.Errorf("core: %s of %d bytes exceeds cap %d", what, n, limit)
+	}
+	b, err := readExact(r, int(n))
 	if err != nil {
-		return fmt.Errorf("core: short offset block length: %w", err)
+		return nil, fmt.Errorf("core: short %s: %w", what, err)
 	}
-	if int64(offLen) > int64(binary.MaxVarintLen32)*int64(h) {
-		return fmt.Errorf("core: offset block of %d bytes exceeds cap for %d rows", offLen, h)
-	}
-	offs, err := readExact(r, int(offLen))
-	if err != nil {
-		return fmt.Errorf("core: short offset block: %w", err)
-	}
+	return b, nil
+}
+
+// decodePackedMeta decodes the v2 metadata blocks — the row-offset deltas
+// and the packed mask — into ef, whose geometry the caller has already
+// validated against MaxFrameDim. It reads both blocks in place and
+// allocates only the offset table and the mask.
+func decodePackedMeta(ef *EncodedFrame, offs, mask []byte) error {
+	w, h := ef.W, ef.H
 	ef.RowOffsets = make([]uint32, h+1)
 	total := uint64(0)
 	for y := 0; y < h; y++ {
@@ -113,22 +134,9 @@ func readPackedMeta(r io.Reader, ef *EncodedFrame) error {
 	if len(offs) != 0 {
 		return fmt.Errorf("core: %d trailing bytes after offset deltas", len(offs))
 	}
-
-	maskLen, err := readU32(r)
-	if err != nil {
-		return fmt.Errorf("core: short mask block length: %w", err)
-	}
-	if int64(maskLen) > int64(bitpack.PackedMaxSize(w*h)) {
-		return fmt.Errorf("core: mask block of %d bytes exceeds cap for %dx%d", maskLen, w, h)
-	}
-	maskBytes, err := readExact(r, int(maskLen))
-	if err != nil {
-		return fmt.Errorf("core: short mask block: %w", err)
-	}
-	mask, err := bitpack.DecodePacked(maskBytes, w*h)
-	if err != nil {
+	ef.Mask = bitpack.NewMask2(w * h)
+	if err := bitpack.DecodePackedInto(ef.Mask, mask); err != nil {
 		return fmt.Errorf("core: %w", err)
 	}
-	ef.Mask = mask
 	return nil
 }

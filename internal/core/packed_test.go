@@ -88,7 +88,8 @@ func TestPackedContainerShrinksMetadata(t *testing.T) {
 }
 
 // TestReadPackedMetaHostile: every malformed v2 tail must be rejected with
-// an error, never a panic or an unbounded allocation.
+// an error, never a panic or an unbounded allocation, by both the stream
+// reader and the in-place parser.
 func TestReadPackedMetaHostile(t *testing.T) {
 	ef := testEncodedFrame(t, frame.Gray8)
 	good := ef.AppendPacked(nil)
@@ -100,6 +101,9 @@ func TestReadPackedMetaHostile(t *testing.T) {
 		b := fn(append([]byte(nil), good...))
 		if _, err := ReadEncodedFrame(bytes.NewReader(b)); err == nil {
 			t.Errorf("%s: hostile v2 container accepted", name)
+		}
+		if _, err := ParseEncodedFrame(b); err == nil {
+			t.Errorf("%s: hostile v2 container accepted in place", name)
 		}
 	}
 	mutate("truncated offset block length", func(b []byte) []byte { return b[:payloadEnd+2] })

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"encoding/binary"
 	"fmt"
 
 	"repro/internal/bitpack"
@@ -159,11 +158,10 @@ func (p *PMMU) AppendRow(dst []SubRequest, y, x0, x1 int) ([]SubRequest, error) 
 
 	// The newest frame's R cursor is a running count of the R codes this
 	// call has passed; its row prefix is scanned on the first fetch only.
-	mask := f.Mask.Bytes()
 	rowOff := int(f.RowOffsets[y])
 	rPrefix, rSeen := -1, 0
 	for x := x0; x < x1; {
-		code, end := maskRun(mask, p.rowBase+x, p.rowBase+x1)
+		code, end := f.Mask.Run(p.rowBase+x, p.rowBase+x1)
 		end -= p.rowBase
 		n := end - x
 		p.stats.MetadataBitsRead += 2 * n
@@ -196,9 +194,8 @@ func (p *PMMU) resolveSk(dst []SubRequest, i, xa, xb int) []SubRequest {
 		return p.appendSub(dst, SubRequest{X: xa, Y: p.y, Count: xb - xa, Code: bitpack.CodeN, Source: SourceNone})
 	}
 	hf := p.history[i]
-	mask := hf.Mask.Bytes()
 	for x := xa; x < xb; {
-		code, end := maskRun(mask, p.rowBase+x, p.rowBase+xb)
+		code, end := hf.Mask.Run(p.rowBase+x, p.rowBase+xb)
 		end -= p.rowBase
 		n := end - x
 		p.stats.MetadataBitsRead += 2 * n
@@ -249,29 +246,4 @@ func (p *PMMU) appendSub(dst []SubRequest, s SubRequest) []SubRequest {
 	}
 	p.stats.SubRequests++
 	return append(dst, s)
-}
-
-// maskRun returns the code of packed EncMask element lo and the end of the
-// run of identical codes starting there, scanning no further than hi. Whole
-// bytes of the run are compared eight at a time against the code's
-// repeated bit pattern (0x00 N, 0x55 St, 0xAA Sk, 0xFF R).
-func maskRun(mask []byte, lo, hi int) (bitpack.Code, int) {
-	c := mask[lo>>2] >> (uint(lo&3) * 2) & 3
-	i := lo + 1
-	for ; i < hi && i&3 != 0; i++ {
-		if mask[i>>2]>>(uint(i&3)*2)&3 != c {
-			return bitpack.Code(c), i
-		}
-	}
-	pat := c * 0x55
-	for word := uint64(pat) * 0x0101010101010101; hi-i >= 32 && binary.LittleEndian.Uint64(mask[i>>2:]) == word; {
-		i += 32
-	}
-	for hi-i >= 4 && mask[i>>2] == pat {
-		i += 4
-	}
-	for i < hi && mask[i>>2]>>(uint(i&3)*2)&3 == c {
-		i++
-	}
-	return bitpack.Code(c), i
 }

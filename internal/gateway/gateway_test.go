@@ -271,8 +271,8 @@ func TestGatewayRelaysRejection(t *testing.T) {
 }
 
 // TestGatewayRejectsRetiredHello: a HELLO laid out by a retired protocol
-// revision (v4: 30 bytes, no codec byte) draws CodeProto from the gateway
-// itself, before any backend is dialled.
+// revision (v5: 31 bytes, ending in a codec capability byte) draws
+// CodeProto from the gateway itself, before any backend is dialled.
 func TestGatewayRejectsRetiredHello(t *testing.T) {
 	b := startBackend(t)
 	addr, _ := startGateway(t, []gateway.Backend{{Addr: b.addr}}, nil)
@@ -281,9 +281,8 @@ func TestGatewayRejectsRetiredHello(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	hello := wire.MarshalHello(wire.Hello{W: 16, H: 16, Format: rpx.Gray8})
-	hello = hello[:len(hello)-1]
-	binary.LittleEndian.PutUint32(hello[4:], 4)
+	hello := append(wire.MarshalHello(wire.Hello{W: 16, H: 16, Format: rpx.Gray8}), 1)
+	binary.LittleEndian.PutUint32(hello[4:], 5)
 	if err := wire.WriteMessage(conn, wire.MsgHello, hello, 0); err != nil {
 		t.Fatal(err)
 	}

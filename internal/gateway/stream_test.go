@@ -2,6 +2,7 @@ package gateway_test
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"io"
 	"testing"
@@ -65,11 +66,7 @@ func TestGatewayStreamRelay(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var buf bytes.Buffer
-	if _, err := want.WriteTo(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(lastRaw, buf.Bytes()) {
+	if !bytes.Equal(lastRaw, want.AppendPacked(nil)) {
 		t.Fatal("relayed frame bytes differ from LastEncoded")
 	}
 
@@ -255,30 +252,24 @@ func TestGatewayStreamBackendKill(t *testing.T) {
 	}
 }
 
-// TestGatewayPackedCodecRelay: the packed-metadata codec negotiated at
-// HELLO survives the gateway, which relays handshake payloads verbatim and
-// never decodes frame containers. A packed client's GET_ENCODED replies and
-// FRAME_PUSH records arrive as v2 containers whose content matches a raw
-// client's view of the same session byte-for-byte after v1 re-serialization.
+// TestGatewayPackedCodecRelay: the packed RPXE v2 container survives the
+// gateway, which relays frame containers verbatim and never decodes them.
+// FRAME_PUSH records arrive as v2 containers byte-identical to the v2
+// serialization of the producer's own GET_ENCODED view of the same frame.
 func TestGatewayPackedCodecRelay(t *testing.T) {
 	b := startBackend(t)
 	addr, _ := startGateway(t, []gateway.Backend{{Addr: b.addr}}, nil)
 
-	producer, err := client.Dial(addr, client.Config{
-		W: 64, H: 48, Format: rpx.Gray8, Block: true, PackedMask: true,
-	})
+	producer, err := client.Dial(addr, client.Config{W: 64, H: 48, Format: rpx.Gray8, Block: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer producer.Close()
-	if !producer.PackedMask() {
-		t.Fatal("packed codec not granted through the gateway")
-	}
 	if err := producer.SetRegionLabels([]rpx.RegionLabel{{X: 8, Y: 8, W: 32, H: 24, Stride: 1, Skip: 1}}); err != nil {
 		t.Fatal(err)
 	}
 
-	subscriber, err := client.Dial(addr, client.Config{W: 8, H: 8, Format: rpx.Gray8, PackedMask: true})
+	subscriber, err := client.Dial(addr, client.Config{W: 8, H: 8, Format: rpx.Gray8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -308,11 +299,17 @@ func TestGatewayPackedCodecRelay(t *testing.T) {
 		last = f.Raw
 	}
 
-	// The producer's own GET_ENCODED view also arrives packed and decodes
-	// transparently; both views must re-serialize to the same v1 bytes.
+	// The producer's own GET_ENCODED view also arrives packed; both views
+	// must carry the same v2 bytes and re-serialize to the same v1 bytes.
 	want, err := producer.LastEncoded()
 	if err != nil {
 		t.Fatal(err)
+	}
+	if v := binary.LittleEndian.Uint32(last[4:]); v != 2 {
+		t.Fatalf("relayed record is RPXE v%d, want v2", v)
+	}
+	if !bytes.Equal(last, want.AppendPacked(nil)) {
+		t.Fatal("relayed packed record diverges from the GET_ENCODED view")
 	}
 	got, err := core.ReadEncodedFrame(bytes.NewReader(last))
 	if err != nil {

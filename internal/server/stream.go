@@ -35,8 +35,8 @@ const (
 	ReasonConnClosed
 )
 
-// pushItem is one published frame: the serialized RPXE container plus the
-// capture statistics, shared read-only across all subscribers.
+// pushItem is one published frame: the serialized RPXE v2 container plus
+// the capture statistics, shared read-only across all subscribers.
 type pushItem struct {
 	seq   uint64
 	stats rpx.CaptureStats
@@ -48,9 +48,6 @@ type Subscription struct {
 	id    uint64
 	sess  *Session
 	batch int
-	// packed selects the RPXE v2 packed-metadata container for this
-	// subscriber's frames (negotiated at HELLO via wire.CodecPackedMask).
-	packed bool
 
 	// ch buffers accepted-but-undelivered frames. Its capacity is the
 	// credit window cap, and offer only sends after consuming a credit, so
@@ -199,10 +196,8 @@ func (sub *Subscription) Next() (items []pushItem, dropped uint64, ok bool) {
 
 // Subscribe attaches a push subscription to this session's frame stream.
 // credit is the initial window, batch the frames-per-push bound (both
-// validated by the wire layer; batch 0 means 1). packed selects the RPXE
-// v2 packed-metadata container for this subscriber's frames; subscribers
-// on the same session may mix forms freely.
-func (s *Session) Subscribe(credit, batch int, packed bool) (*Subscription, error) {
+// validated by the wire layer; batch 0 means 1).
+func (s *Session) Subscribe(credit, batch int) (*Subscription, error) {
 	if batch <= 0 {
 		batch = 1
 	}
@@ -225,7 +220,6 @@ func (s *Session) Subscribe(credit, batch int, packed bool) (*Subscription, erro
 	sub := &Subscription{
 		sess:    s,
 		batch:   batch,
-		packed:  packed,
 		ch:      make(chan pushItem, wire.MaxCreditWindow),
 		credit:  credit,
 		granted: uint64(credit),
@@ -255,8 +249,9 @@ func (s *Session) NextSeq() uint64 {
 
 // publish hands one captured frame to every attached subscription. It runs
 // on the session worker goroutine immediately after a successful capture,
-// so the borrowed frame is exactly the one just captured; the RPXE container is
-// serialized once and the bytes shared read-only across subscribers.
+// so the borrowed frame is exactly the one just captured; the RPXE v2
+// container is serialized once and the bytes shared read-only across
+// subscribers.
 func (s *Session) publish(cs rpx.CaptureStats) {
 	seq := uint64(cs.FrameIndex)
 	s.subMu.Lock()
@@ -269,32 +264,17 @@ func (s *Session) publish(cs rpx.CaptureStats) {
 	s.subMu.Unlock()
 
 	// Borrow the live frame (we are on the worker goroutine, so it is
-	// stable) and serialize it at most once per negotiated container form
-	// into right-sized buffers. The buffers are deliberately fresh
-	// allocations, not pooled: their bytes are shared read-only across
-	// every subscriber's queue with no refcount, so their lifetime ends
-	// whenever the last writer drains them — GC ownership is the contract.
-	// At most two allocations per published frame (one raw, one packed,
-	// each only if some subscriber negotiated it), fan-out free.
+	// stable) and serialize it once into a fresh buffer. The buffer is
+	// deliberately not pooled: its bytes are shared read-only across every
+	// subscriber's queue with no refcount, so its lifetime ends whenever
+	// the last writer drains it — GC ownership is the contract.
 	ef := s.sys.BorrowLastEncoded()
 	if ef == nil {
 		return
 	}
-	var rawEnc, packedEnc []byte
+	enc := ef.AppendPacked(make([]byte, 0, ef.PackedMaxSize()))
 	for _, sub := range subs {
-		it := pushItem{seq: seq, stats: cs}
-		if sub.packed {
-			if packedEnc == nil {
-				packedEnc = ef.AppendPacked(make([]byte, 0, ef.PackedMaxSize()))
-			}
-			it.enc = packedEnc
-		} else {
-			if rawEnc == nil {
-				rawEnc = ef.AppendTo(make([]byte, 0, ef.EncodedSize()))
-			}
-			it.enc = rawEnc
-		}
-		sub.offer(it)
+		sub.offer(pushItem{seq: seq, stats: cs, enc: enc})
 	}
 	s.mgr.streamPublished.Add(int64(len(subs)))
 }

@@ -3,6 +3,7 @@ package server_test
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"fmt"
 	"math/rand"
 	"net"
@@ -34,7 +35,7 @@ func startDiffServer(t *testing.T, mcfg server.Config, tcfg server.TCPConfig) st
 	return ln.Addr().String()
 }
 
-// The differential harness proves the v3 push path byte-identical to the v2
+// The differential harness proves the push path byte-identical to the
 // request/reply path: for randomized geometries and workloads, every
 // FRAME_PUSH record a subscriber receives must equal — payload, row
 // offsets, encoding mask, the whole serialized EncodedFrame — what a
@@ -42,17 +43,17 @@ func startDiffServer(t *testing.T, mcfg server.Config, tcfg server.TCPConfig) st
 // exact same frames, and carry the same CaptureStats. Each case is driven
 // by its seed alone, so any failure reproduces from the logged seed.
 //
-// Each case runs twice: once raw (v1 container, byte-identity against the
-// reference serialization) and once with the packed codec negotiated at the
-// subscriber's HELLO (v2 container — compared by content: decoded pixels,
-// mask codes, and row offsets must round-trip exactly, and the record must
-// respect the PackedMaxSize bound).
+// Every record travels as the RPXE v2 container and must equal the
+// reference's GET_ENCODED view re-serialized in v2 byte-for-byte, and in v1
+// after parsing. Each case runs twice, once for each value of the
+// subscriber's deprecated Config.PackedMask: the field is a no-op, so a
+// client that leaves it false ("raw") still receives v2 records.
 
 // diffCase runs one randomized producer/subscriber/reference trio against
 // the server at addr. The producer and reference sessions encode at the
-// given pipeline parallelism; packed selects the subscriber's codec.
-// Returned errors carry the seed.
-func diffCase(addr string, seed int64, parallelism int, packed bool) error {
+// given pipeline parallelism; packedMask is the subscriber's
+// Config.PackedMask. Returned errors carry the seed.
+func diffCase(addr string, seed int64, parallelism int, packedMask bool) error {
 	rng := rand.New(rand.NewSource(seed))
 	fail := func(format string, args ...interface{}) error {
 		return fmt.Errorf("seed %d: %s", seed, fmt.Sprintf(format, args...))
@@ -98,7 +99,7 @@ func diffCase(addr string, seed int64, parallelism int, packed bool) error {
 			return fail("set labels %+v: %v", labels, err)
 		}
 	}
-	subSess, err := client.Dial(addr, client.Config{W: 8, H: 8, Format: rpx.Gray8, PackedMask: packed})
+	subSess, err := client.Dial(addr, client.Config{W: 8, H: 8, Format: rpx.Gray8, PackedMask: packedMask})
 	if err != nil {
 		return fail("dial subscriber: %v", err)
 	}
@@ -116,7 +117,7 @@ func diffCase(addr string, seed int64, parallelism int, packed bool) error {
 	fr := rpx.NewFrame(w, h, format)
 	wantStats := make([]rpx.CaptureStats, frames)
 	wantRaw := make([][]byte, frames)
-	wantEF := make([]*rpx.EncodedFrame, frames)
+	wantPacked := make([][]byte, frames)
 	for i := 0; i < frames; i++ {
 		rng.Read(fr.Pix)
 		pcs, err := producer.Capture(fr)
@@ -140,12 +141,11 @@ func diffCase(addr string, seed int64, parallelism int, packed bool) error {
 			return fail("serialize reference frame %d: %v", i, err)
 		}
 		wantRaw[i] = buf.Bytes()
-		wantEF[i] = ef
+		wantPacked[i] = ef.AppendPacked(nil)
 	}
 
 	// Drain the stream: every pushed record must match the reference
-	// byte-for-byte (raw) or content-for-content (packed), and
-	// stat-for-stat, with no gaps or drops.
+	// byte-for-byte and stat-for-stat, with no gaps or drops.
 	for i := 0; i < frames; i++ {
 		f, err := st.Recv()
 		if err != nil {
@@ -164,33 +164,22 @@ func diffCase(addr string, seed int64, parallelism int, packed bool) error {
 		if err != nil {
 			return fail("frame %d does not decode: %v", i, err)
 		}
-		if packed {
-			// The v2 record is compared by content: the encoded pixel
-			// payload, every mask code, and every row offset must round-trip
-			// exactly — pinned by re-serializing the parsed record in v1
-			// form, which must reproduce the reference bytes — and the
-			// record must respect the worst-case size bound.
-			if len(f.Raw) > got.PackedMaxSize() {
-				return fail("frame %d packed record is %d bytes, exceeds PackedMaxSize %d",
-					i, len(f.Raw), got.PackedMaxSize())
-			}
-			if !got.Mask.Equal(wantEF[i].Mask) {
-				return fail("frame %d mask codes diverge after packed round trip", i)
-			}
-			for y := range wantEF[i].RowOffsets {
-				if got.RowOffsets[y] != wantEF[i].RowOffsets[y] {
-					return fail("frame %d row offset %d: packed %d, reference %d",
-						i, y, got.RowOffsets[y], wantEF[i].RowOffsets[y])
-				}
-			}
-			if !bytes.Equal(got.Pix, wantEF[i].Pix) {
-				return fail("frame %d encoded pixels diverge after packed round trip", i)
-			}
-			if !bytes.Equal(got.AppendTo(nil), wantRaw[i]) {
-				return fail("frame %d v1 re-serialization diverges from reference", i)
-			}
-		} else if !bytes.Equal(f.Raw, wantRaw[i]) {
-			return fail("frame %d bytes diverge from reference (%d vs %d bytes)", i, len(f.Raw), len(wantRaw[i]))
+		// The record is the v2 container within its worst-case bound,
+		// equal to the reference's v2 bytes, and its parse re-serializes
+		// to the reference's v1 bytes: payload, every row offset and every
+		// mask code round-trip exactly.
+		if v := binary.LittleEndian.Uint32(f.Raw[4:]); v != 2 {
+			return fail("frame %d is an RPXE v%d container, want v2", i, v)
+		}
+		if len(f.Raw) > got.PackedMaxSize() {
+			return fail("frame %d record is %d bytes, exceeds PackedMaxSize %d",
+				i, len(f.Raw), got.PackedMaxSize())
+		}
+		if !bytes.Equal(f.Raw, wantPacked[i]) {
+			return fail("frame %d bytes diverge from reference (%d vs %d bytes)", i, len(f.Raw), len(wantPacked[i]))
+		}
+		if !bytes.Equal(got.AppendTo(nil), wantRaw[i]) {
+			return fail("frame %d v1 re-serialization diverges from reference", i)
 		}
 	}
 	if err := st.Close(); err != nil {
@@ -199,18 +188,19 @@ func diffCase(addr string, seed int64, parallelism int, packed bool) error {
 	return nil
 }
 
-// TestStreamDifferential runs the randomized differential suite raw and
-// packed at pipeline parallelism 1, 2, and 8 — 20 cases per cell, 120
-// total. Parallelism is both the sessions' encode/decode worker count and
-// the number of concurrently running cases.
+// TestStreamDifferential runs the randomized differential suite at
+// pipeline parallelism 1, 2, and 8, with the subscriber's Config.PackedMask
+// false ("raw") and true ("packed") — 20 cases per cell, 120 total.
+// Parallelism is both the sessions' encode/decode worker count and the
+// number of concurrently running cases.
 func TestStreamDifferential(t *testing.T) {
 	addr := startDiffServer(t, server.Config{}, server.TCPConfig{})
 	const casesPer = 20
 	for _, par := range []int{1, 2, 8} {
-		for _, packed := range []bool{false, true} {
-			par, packed := par, packed
+		for _, packedMask := range []bool{false, true} {
+			par, packedMask := par, packedMask
 			name := fmt.Sprintf("parallel%d/raw", par)
-			if packed {
+			if packedMask {
 				name = fmt.Sprintf("parallel%d/packed", par)
 			}
 			t.Run(name, func(t *testing.T) {
@@ -223,7 +213,7 @@ func TestStreamDifferential(t *testing.T) {
 					go func() {
 						defer wg.Done()
 						defer func() { <-sem }()
-						if err := diffCase(addr, seed, par, packed); err != nil {
+						if err := diffCase(addr, seed, par, packedMask); err != nil {
 							t.Error(err)
 						}
 					}()

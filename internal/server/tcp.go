@@ -232,14 +232,9 @@ func (s *TCPServer) handle(conn net.Conn) {
 	// When the idle janitor evicts this session, close the connection so a
 	// handler blocked in ReadMessage wakes and tears down promptly.
 	sess.OnEvict(func() { conn.Close() })
-	// The server grants exactly the codecs it implements, intersected with
-	// what the client offered.
-	codec := hello.Codec & wire.CodecPackedMask
-	packed := codec != 0
 	cw.scratch = wire.AppendHelloAck(cw.scratch[:0], wire.HelloAck{
 		SessionID:  sess.ID(),
 		MaxPayload: s.cfg.MaxPayload,
-		Codec:      codec,
 	})
 	if err := cw.write(wire.MsgHelloAck, cw.scratch); err != nil {
 		return
@@ -269,12 +264,12 @@ func (s *TCPServer) handle(conn net.Conn) {
 		if typ == wire.MsgSubscribe {
 			// Streaming mode runs its own read loop and hands the write
 			// side to a dedicated writer until the subscription ends.
-			if done := s.serveStream(sess, conn, br, &rbuf, cw, payload, packed); done {
+			if done := s.serveStream(sess, conn, br, &rbuf, cw, payload); done {
 				return
 			}
 			continue
 		}
-		if done := s.serveMsg(sess, cw, typ, payload, hello, frameBytes, packed); done {
+		if done := s.serveMsg(sess, cw, typ, payload, hello, frameBytes); done {
 			return
 		}
 	}
@@ -285,7 +280,7 @@ func (s *TCPServer) handle(conn net.Conn) {
 // (FRAME_PUSH batches, the final ACK or error), while this loop keeps
 // reading CREDIT grants until UNSUBSCRIBE or teardown. It reports true when
 // the connection should end; false resumes the request/reply loop.
-func (s *TCPServer) serveStream(sess *Session, conn net.Conn, br *bufio.Reader, rbuf *[]byte, cw *connWriter, payload []byte, packed bool) bool {
+func (s *TCPServer) serveStream(sess *Session, conn net.Conn, br *bufio.Reader, rbuf *[]byte, cw *connWriter, payload []byte) bool {
 	req, err := wire.UnmarshalSubscribe(payload)
 	if err != nil {
 		return cw.writeErr(wire.CodeProto, err.Error()) != nil
@@ -299,7 +294,7 @@ func (s *TCPServer) serveStream(sess *Session, conn net.Conn, br *bufio.Reader, 
 		}
 		target = t
 	}
-	sub, err := target.Subscribe(int(req.Credit), int(req.Batch), packed)
+	sub, err := target.Subscribe(int(req.Credit), int(req.Batch))
 	if err != nil {
 		return cw.writeErr(wire.CodeSessionLimit, err.Error()) != nil
 	}
@@ -471,7 +466,7 @@ func (s *TCPServer) streamWriter(sub *Subscription, conn net.Conn, cw *connWrite
 
 // serveMsg dispatches one request message; it reports true when the
 // connection should end.
-func (s *TCPServer) serveMsg(sess *Session, cw *connWriter, typ byte, payload []byte, hello wire.Hello, frameBytes int, packed bool) bool {
+func (s *TCPServer) serveMsg(sess *Session, cw *connWriter, typ byte, payload []byte, hello wire.Hello, frameBytes int) bool {
 	fail := func(err error) bool {
 		code := wire.CodeInternal
 		switch {
@@ -542,11 +537,10 @@ func (s *TCPServer) serveMsg(sess *Session, cw *connWriter, typ byte, payload []
 		return cw.write(wire.MsgFrame, cw.scratch) != nil
 
 	case wire.MsgGetEncoded:
-		// The RPXE container is serialized on the session worker directly
-		// into this connection's scratch — no intermediate EncodedFrame copy
-		// and no per-request buffer. Sessions that negotiated the packed
-		// codec at HELLO get the v2 container; everyone else the raw v1.
-		enc, err := sess.LastEncodedTo(cw.scratch[:0], packed)
+		// The RPXE v2 container is serialized on the session worker
+		// directly into this connection's scratch — no intermediate
+		// EncodedFrame copy and no per-request buffer.
+		enc, err := sess.LastEncodedTo(cw.scratch[:0])
 		if err != nil {
 			return fail(err)
 		}

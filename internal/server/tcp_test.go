@@ -85,11 +85,11 @@ func TestTCPRejectsNonHelloFirst(t *testing.T) {
 }
 
 // TestTCPRejectsBadHello: a HELLO carrying any version but
-// wire.ProtoVersion — the retired revisions 2–4 included — draws CodeProto
+// wire.ProtoVersion — the retired revisions 2–5 included — draws CodeProto
 // and opens no session.
 func TestTCPRejectsBadHello(t *testing.T) {
 	srv, addr := startTestServer(t, Config{}, TCPConfig{})
-	for _, v := range []byte{2, 3, 4, 6, 99} {
+	for _, v := range []byte{2, 3, 4, 5, 7, 99} {
 		conn := dialRaw(t, addr)
 		payload := wire.MarshalHello(wire.Hello{W: 16, H: 16, Format: frame.Gray8})
 		payload[4] = v

@@ -24,7 +24,9 @@ func FuzzReadMessage(f *testing.F) {
 	}
 	f.Add(seed(MsgHello, MarshalHello(Hello{W: 64, H: 48, HistoryDepth: 4, Parallelism: 2})))
 	f.Add(seed(MsgHelloAck, MarshalHelloAck(HelloAck{SessionID: 7, MaxPayload: DefaultMaxPayload})))
-	f.Add(seed(MsgHelloAck, MarshalHelloAck(HelloAck{SessionID: 7, MaxPayload: DefaultMaxPayload, Codec: CodecPackedMask})))
+	retiredAck := append(MarshalHelloAck(HelloAck{SessionID: 7, MaxPayload: DefaultMaxPayload}), 1)
+	binary.LittleEndian.PutUint32(retiredAck[12:], 5)
+	f.Add(seed(MsgHelloAck, retiredAck)) // a v5 HELLO_ACK, ending in a codec byte
 	f.Add(seed(MsgSubscribe, MarshalSubscribe(Subscribe{Target: 3, Credit: 8, Batch: 4})))
 	f.Add(seed(MsgFramePush, MarshalFramePush(FramePush{SubID: 1, Frames: []PushFrame{{Seq: 2, Enc: []byte{1, 2, 3}}}})))
 	f.Add(seed(MsgCaptureAck, MarshalCaptureAck(CaptureAck{FrameIndex: 3, EncodedPixels: 10, EncodedBytes: 10, PixelFraction: 0.5})))
@@ -152,12 +154,17 @@ func FuzzReadFramePush(f *testing.F) {
 // client's HELLO and a client re-marshalling its own can never disagree.
 func FuzzHello(f *testing.F) {
 	f.Add(MarshalHello(Hello{W: 64, H: 48, Format: 0, HistoryDepth: 4, Parallelism: 2}))
-	f.Add(MarshalHello(Hello{W: 1 << 15, H: 1, Format: 2, QueueDepth: 1 << 20, Block: true, Parallelism: MaxParallelism, Codec: CodecPackedMask}))
+	f.Add(MarshalHello(Hello{W: 1 << 15, H: 1, Format: 2, QueueDepth: 1 << 20, Block: true, Parallelism: MaxParallelism}))
 	f.Add(MarshalHelloAck(HelloAck{SessionID: 7, MaxPayload: DefaultMaxPayload}))
-	f.Add(MarshalHelloAck(HelloAck{SessionID: ^uint64(0), MaxPayload: 1, Codec: CodecPackedMask}))
-	retired := MarshalHello(Hello{W: 8, H: 8})
-	binary.LittleEndian.PutUint32(retired[4:], 4)
-	f.Add(retired[:len(retired)-1]) // a v4-era HELLO without the codec byte
+	f.Add(MarshalHelloAck(HelloAck{SessionID: ^uint64(0), MaxPayload: 1}))
+	// Retired revisions: v4 had the current 30-byte layout, v5 appended a
+	// codec capability byte. Both must fail on the version.
+	v4 := MarshalHello(Hello{W: 8, H: 8})
+	binary.LittleEndian.PutUint32(v4[4:], 4)
+	f.Add(v4)
+	v5 := append(MarshalHello(Hello{W: 8, H: 8}), 1)
+	binary.LittleEndian.PutUint32(v5[4:], 5)
+	f.Add(v5)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if h, err := UnmarshalHello(data); err == nil {
 			if got := MarshalHello(h); !bytes.Equal(got, data) {

@@ -171,8 +171,8 @@ type PushFrame struct {
 	// Stats are the frame's capture statistics, identical to what the
 	// CAPTURE_ACK for the same frame reported.
 	Stats CaptureAck
-	// Enc is the encoded frame in the RPXE container framing
-	// (core.EncodedFrame.WriteTo) — byte-identical to a GET_ENCODED
+	// Enc is the encoded frame as an RPXE v2 container
+	// (core.EncodedFrame.AppendPacked) — byte-identical to a GET_ENCODED
 	// reply for the same frame.
 	Enc []byte
 }

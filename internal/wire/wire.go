@@ -8,14 +8,15 @@
 //	uint32 payload length (little endian) | uint8 message type | payload
 //
 // and the first message on a connection must be HELLO, which carries the
-// protocol magic and version (one revision, ProtoVersion), the session
-// geometry the client wants to negotiate and its codec capability byte.
-// Readers enforce a per-message payload cap so a malformed or hostile peer
-// cannot make the receiver allocate unbounded memory; writers refuse to
-// emit messages above the same cap. Encoded frames travel in the same RPXE
-// container the .rpxs stream format uses (core.EncodedFrame.WriteTo /
-// core.ReadEncodedFrame), so any encoded-frame transport — file, socket, or
-// pipe — shares one framing.
+// protocol magic and version (one revision, ProtoVersion) and the session
+// geometry the client wants to negotiate. Readers enforce a per-message
+// payload cap so a malformed or hostile peer cannot make the receiver
+// allocate unbounded memory; writers refuse to emit messages above the same
+// cap. Encoded frames (ENCODED replies and FRAME_PUSH records) always travel
+// in the packed RPXE v2 container (core.EncodedFrame.AppendPacked), whose
+// row offsets are varint deltas and whose EncMask is run-length coded; the
+// raw v1 form stays the .rpxs file format. core.ParseEncodedFrame and
+// core.ReadEncodedFrame read both, so one parser serves socket and file.
 package wire
 
 import (
@@ -39,11 +40,11 @@ const ProtoMagic = 0x52505844 // "RPXD"
 // other value with a typed *VersionError, so a peer built against a
 // different framing fails loudly at the handshake. Every message type is
 // always available: request/reply, the SUBSCRIBE / CREDIT / FRAME_PUSH /
-// UNSUBSCRIBE push mode and STREAM_LABELS / LABELS_APPLIED label feedback.
-// The only negotiated choice is the codec capability byte, which selects
-// how FRAME/FRAME_PUSH payloads carry the decoder metadata (raw offsets +
-// EncMask, or the packed RPXE v2 container).
-const ProtoVersion = 5
+// UNSUBSCRIBE push mode and STREAM_LABELS / LABELS_APPLIED label feedback,
+// and every encoded frame is an RPXE v2 container. Nothing is negotiated
+// beyond the session geometry. Revision 6 dropped the codec capability
+// byte that revision 5 carried in HELLO and HELLO_ACK.
+const ProtoVersion = 6
 
 // DefaultMaxPayload caps a single message payload (32 MiB): comfortably
 // above a 1080p RGB frame plus metadata, far below an OOM.
@@ -78,7 +79,7 @@ const (
 	MsgStatsAck byte = 11
 	// MsgGetEncoded requests the newest encoded frame.
 	MsgGetEncoded byte = 12
-	// MsgEncoded returns an encoded frame in the RPXE container framing.
+	// MsgEncoded returns the encoded frame as an RPXE v2 container.
 	MsgEncoded byte = 13
 	// MsgClose ends the session gracefully.
 	MsgClose byte = 14
@@ -345,29 +346,15 @@ type Hello struct {
 	// session's pipeline fans out to (0 = server default, i.e. 1: the
 	// sequential reference path).
 	Parallelism int
-	// Codec is the capability bitmap of frame codecs the client can decode
-	// (zero = raw only). Servers grant the intersection of what the client
-	// offers and what they implement, echoed in the HELLO_ACK.
-	Codec uint8
 }
-
-// CodecPackedMask is the Hello.Codec capability bit for the RPXE v2
-// packed-metadata container (varint row-offset deltas + RLE mask, see
-// core/bitpack). Raw remains the byte-identity reference path when unset.
-const CodecPackedMask uint8 = 1 << 0
-
-// codecKnownMask is every capability bit this revision defines. Unknown
-// bits are rejected rather than ignored: a future revision that defines
-// more bits will also bump ProtoVersion, so nothing legitimate sends them.
-const codecKnownMask = CodecPackedMask
 
 // MaxParallelism caps the HELLO Parallelism field so a hostile handshake
 // cannot request an absurd per-session worker count. Matches rpx's cap.
 const MaxParallelism = 256
 
 // helloSize is the HELLO payload length: magic, version, W, H, format,
-// history depth, queue depth, block, parallelism, codec.
-const helloSize = 4 + 4 + 4 + 4 + 1 + 4 + 4 + 1 + 4 + 1
+// history depth, queue depth, block, parallelism.
+const helloSize = 4 + 4 + 4 + 4 + 1 + 4 + 4 + 1 + 4
 
 // AppendHello appends a HELLO payload to dst, prefixed with magic and
 // ProtoVersion.
@@ -384,8 +371,7 @@ func AppendHello(dst []byte, h Hello) []byte {
 	} else {
 		dst = append(dst, 0)
 	}
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(h.Parallelism))
-	return append(dst, h.Codec)
+	return binary.LittleEndian.AppendUint32(dst, uint32(h.Parallelism))
 }
 
 // MarshalHello encodes a HELLO payload into a fresh buffer.
@@ -415,7 +401,6 @@ func UnmarshalHello(b []byte) (Hello, error) {
 		QueueDepth:   int(binary.LittleEndian.Uint32(b[21:])),
 		Block:        b[25] != 0,
 		Parallelism:  int(binary.LittleEndian.Uint32(b[26:])),
-		Codec:        b[30],
 	}
 	switch h.Format {
 	case frame.Gray8, frame.RGB24, frame.YUV444:
@@ -431,9 +416,6 @@ func UnmarshalHello(b []byte) (Hello, error) {
 	if h.Parallelism < 0 || h.Parallelism > MaxParallelism {
 		return Hello{}, fmt.Errorf("wire: parallelism %d outside [0,%d]", h.Parallelism, MaxParallelism)
 	}
-	if h.Codec&^codecKnownMask != 0 {
-		return Hello{}, fmt.Errorf("wire: unknown codec capability bits %#x", h.Codec&^codecKnownMask)
-	}
 	return h, nil
 }
 
@@ -443,42 +425,38 @@ type HelloAck struct {
 	SessionID uint64
 	// MaxPayload is the per-message payload cap both sides must honour.
 	MaxPayload int
-	// Codec is the granted codec capability bitmap: the intersection of
-	// what the client offered in HELLO and what the server implements.
-	// Zero means raw frames.
-	Codec uint8
 }
 
 // helloAckSize is the HELLO_ACK payload length: session id, payload cap,
-// version, granted codec.
-const helloAckSize = 8 + 4 + 4 + 1
+// version.
+const helloAckSize = 8 + 4 + 4
 
 // AppendHelloAck appends a HELLO acknowledgment carrying ProtoVersion to dst.
 func AppendHelloAck(dst []byte, a HelloAck) []byte {
 	dst = binary.LittleEndian.AppendUint64(dst, a.SessionID)
 	dst = binary.LittleEndian.AppendUint32(dst, uint32(a.MaxPayload))
-	dst = binary.LittleEndian.AppendUint32(dst, ProtoVersion)
-	return append(dst, a.Codec)
+	return binary.LittleEndian.AppendUint32(dst, ProtoVersion)
 }
 
 // MarshalHelloAck encodes a HELLO acknowledgment into a fresh buffer.
 func MarshalHelloAck(a HelloAck) []byte { return AppendHelloAck(nil, a) }
 
-// UnmarshalHelloAck decodes a HELLO acknowledgment.
+// UnmarshalHelloAck decodes a HELLO acknowledgment. Every revision so far
+// puts the version at bytes 12..16, so an acknowledgment from another
+// revision fails with *VersionError whatever its length.
 func UnmarshalHelloAck(b []byte) (HelloAck, error) {
-	if len(b) != helloAckSize {
+	if len(b) < helloAckSize {
 		return HelloAck{}, fmt.Errorf("wire: HELLO_ACK payload is %d bytes, want %d", len(b), helloAckSize)
 	}
 	if v := binary.LittleEndian.Uint32(b[12:]); v != ProtoVersion {
 		return HelloAck{}, &VersionError{Got: v}
 	}
+	if len(b) != helloAckSize {
+		return HelloAck{}, fmt.Errorf("wire: HELLO_ACK payload is %d bytes, want %d", len(b), helloAckSize)
+	}
 	a := HelloAck{
 		SessionID:  binary.LittleEndian.Uint64(b),
 		MaxPayload: int(binary.LittleEndian.Uint32(b[8:])),
-		Codec:      b[16],
-	}
-	if a.Codec&^codecKnownMask != 0 {
-		return HelloAck{}, fmt.Errorf("wire: unknown codec capability bits %#x", a.Codec&^codecKnownMask)
 	}
 	if a.MaxPayload <= 0 {
 		return HelloAck{}, fmt.Errorf("wire: non-positive payload cap %d", a.MaxPayload)

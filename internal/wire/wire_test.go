@@ -52,7 +52,7 @@ func TestMessageSizeLimits(t *testing.T) {
 }
 
 func TestHelloRoundTrip(t *testing.T) {
-	h := Hello{W: 640, H: 480, Format: frame.RGB24, HistoryDepth: 6, QueueDepth: 3, Block: true, Codec: CodecPackedMask}
+	h := Hello{W: 640, H: 480, Format: frame.RGB24, HistoryDepth: 6, QueueDepth: 3, Block: true, Parallelism: 4}
 	b := MarshalHello(h)
 	if len(b) != helloSize {
 		t.Fatalf("HELLO is %d bytes, want %d", len(b), helloSize)
@@ -66,11 +66,12 @@ func TestHelloRoundTrip(t *testing.T) {
 	}
 }
 
-// TestHelloAckRoundTrip: HELLO_ACK has one 17-byte layout carrying the
-// version and the granted codec; the retired 12- and 16-byte forms and any
-// other length are rejected.
+// TestHelloAckRoundTrip: HELLO_ACK has one 16-byte layout carrying the
+// version; the retired 12-byte form, any other length and any other
+// version are rejected — the 17-byte v5 form (with a codec byte) with the
+// typed *VersionError.
 func TestHelloAckRoundTrip(t *testing.T) {
-	want := HelloAck{SessionID: 9, MaxPayload: 1 << 20, Codec: CodecPackedMask}
+	want := HelloAck{SessionID: 9, MaxPayload: 1 << 20}
 	b := MarshalHelloAck(want)
 	if len(b) != helloAckSize {
 		t.Fatalf("HELLO_ACK is %d bytes, want %d", len(b), helloAckSize)
@@ -78,12 +79,20 @@ func TestHelloAckRoundTrip(t *testing.T) {
 	if a, err := UnmarshalHelloAck(b); err != nil || a != want {
 		t.Fatalf("ack round trip = %+v %v, want %+v", a, err, want)
 	}
-	for _, n := range []int{12, 14, 16} {
+	for _, n := range []int{12, 14} {
 		if _, err := UnmarshalHelloAck(b[:n]); err == nil {
 			t.Fatalf("%d-byte HELLO_ACK accepted", n)
 		}
 	}
-	for _, v := range []uint32{2, 3, 4, ProtoVersion + 1} {
+	if _, err := UnmarshalHelloAck(append(b, 0)); err == nil {
+		t.Fatalf("%d-byte HELLO_ACK accepted", len(b)+1)
+	}
+	v5 := append(append([]byte(nil), b...), 1)
+	binary.LittleEndian.PutUint32(v5[12:], 5)
+	if _, err := UnmarshalHelloAck(v5); !errors.As(err, new(*VersionError)) {
+		t.Fatalf("v5 ack: err = %v, want *VersionError", err)
+	}
+	for _, v := range []uint32{2, 3, 4, 5, ProtoVersion + 1} {
 		bad := append([]byte(nil), b...)
 		binary.LittleEndian.PutUint32(bad[12:], v)
 		var ve *VersionError
@@ -95,8 +104,8 @@ func TestHelloAckRoundTrip(t *testing.T) {
 
 // TestHelloVersionNegotiation pins the negotiation contract: there is one
 // protocol revision, so a HELLO negotiates ProtoVersion or nothing. Every
-// other version — the retired revisions 2–4 included — fails with the typed
-// *VersionError rather than a stringly error.
+// other version — the retired revisions 2–5 included — fails with the typed
+// *VersionError rather than a stringly error, whatever the payload length.
 func TestHelloVersionNegotiation(t *testing.T) {
 	b := MarshalHello(Hello{W: 64, H: 48, Format: frame.Gray8})
 	if got, err := UnmarshalHello(b); err != nil || got.W != 64 || got.H != 48 {
@@ -105,7 +114,7 @@ func TestHelloVersionNegotiation(t *testing.T) {
 	if v := binary.LittleEndian.Uint32(b[4:]); v != ProtoVersion {
 		t.Fatalf("HELLO carries version %d, want %d", v, ProtoVersion)
 	}
-	for _, v := range []uint32{0, 1, 2, 3, 4, ProtoVersion + 1, 0xffffffff} {
+	for _, v := range []uint32{0, 1, 2, 3, 4, 5, ProtoVersion + 1, 0xffffffff} {
 		bad := append([]byte(nil), b...)
 		binary.LittleEndian.PutUint32(bad[4:], v)
 		_, err := UnmarshalHello(bad)
@@ -113,6 +122,13 @@ func TestHelloVersionNegotiation(t *testing.T) {
 		if !errors.As(err, &ve) || ve.Got != v {
 			t.Fatalf("version %d: err = %v, want *VersionError", v, err)
 		}
+	}
+	// A v5 peer's HELLO ends in a codec capability byte.
+	v5 := append(append([]byte(nil), b...), 1)
+	binary.LittleEndian.PutUint32(v5[4:], 5)
+	var ve *VersionError
+	if _, err := UnmarshalHello(v5); !errors.As(err, &ve) || ve.Got != 5 {
+		t.Fatalf("v5 HELLO: err = %v, want *VersionError", err)
 	}
 }
 
@@ -128,10 +144,13 @@ func TestHelloRejectsBadMagicAndVersion(t *testing.T) {
 	if _, err := UnmarshalHello(bad); err == nil || !strings.Contains(err.Error(), "version") {
 		t.Fatalf("bad version err = %v", err)
 	}
-	// The retired 30-byte layout (no codec byte) is rejected even when it
-	// carries the current version.
+	// A payload a byte short, or a byte long (the retired v5 layout with a
+	// codec byte), is rejected even when it carries the current version.
 	if _, err := UnmarshalHello(b[:helloSize-1]); err == nil {
-		t.Fatal("HELLO without the codec byte accepted")
+		t.Fatal("short HELLO accepted")
+	}
+	if _, err := UnmarshalHello(append(b, 0)); err == nil {
+		t.Fatal("HELLO with a trailing codec byte accepted")
 	}
 	bad = append([]byte(nil), b...)
 	bad[25] = 2

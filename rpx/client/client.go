@@ -76,13 +76,10 @@ type Config struct {
 	// server gives this session's pipeline (0 = server default: 1, the
 	// sequential reference path). Any value yields byte-identical results.
 	Parallelism int
-	// PackedMask requests the packed-metadata codec (wire.CodecPackedMask)
-	// at the handshake: GET_ENCODED replies and FRAME_PUSH records then
-	// carry the RPXE v2 container, whose mask is run-length encoded and
-	// whose row offsets are varint deltas. Decoding is transparent —
-	// LastEncoded and StreamFrame.Decode handle both containers — but the
-	// raw bytes differ, so leave this unset for byte-identity with v1
-	// captures.
+	// PackedMask is ignored.
+	//
+	// Deprecated: GET_ENCODED replies and FRAME_PUSH records always carry
+	// the packed RPXE v2 container; there is nothing left to negotiate.
 	PackedMask bool
 	// LabelFeedback is ignored.
 	//
@@ -119,7 +116,6 @@ type Session struct {
 	broken      bool
 	id          uint64
 	maxPayload  int
-	codec       uint8   // granted codec bits (from the HELLO_ACK)
 	stream      *Stream // open push subscription, nil in request/reply mode
 	dialTimeout time.Duration
 	timeout     time.Duration
@@ -169,9 +165,6 @@ func (s *Session) connectLocked() error {
 		Block:        s.cfg.Block,
 		Parallelism:  s.cfg.Parallelism,
 	}
-	if s.cfg.PackedMask {
-		hello.Codec = wire.CodecPackedMask
-	}
 	ack, _, err := replay.Handshake(conn, br, wire.MarshalHello(hello), s.maxPayload, s.timeout)
 	if err != nil {
 		conn.Close()
@@ -186,23 +179,8 @@ func (s *Session) connectLocked() error {
 	s.mw = wire.NewMessageWriter(conn)
 	s.id = ack.SessionID
 	s.maxPayload = ack.MaxPayload
-	s.codec = ack.Codec
 	s.broken = false
-	if s.cfg.PackedMask && s.codec&wire.CodecPackedMask == 0 {
-		// rpxd always grants the packed bit; anything else means the peer
-		// cannot honor what Config asked for.
-		conn.Close()
-		return fmt.Errorf("client: server did not grant the packed-mask codec")
-	}
 	return nil
-}
-
-// PackedMask reports whether the server granted the packed-metadata codec
-// at the handshake (Config.PackedMask was set and the peer implements it).
-func (s *Session) PackedMask() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.codec&wire.CodecPackedMask != 0
 }
 
 // ID returns the server-assigned session id (of the newest connection, if
@@ -361,9 +339,9 @@ func (s *Session) DecodeWindow(x, y, w, h int) (*rpx.Frame, error) {
 	return wire.UnmarshalFrame(payload)
 }
 
-// LastEncoded fetches the newest encoded frame in its packed (RPXE)
-// representation — the same container .rpxs streams use. The frame is
-// parsed in place from the reply, which it owns.
+// LastEncoded fetches the newest encoded frame, which the server sends as
+// an RPXE v2 container. The frame is parsed in place from the reply, which
+// it owns.
 func (s *Session) LastEncoded() (*rpx.EncodedFrame, error) {
 	payload, err := s.call(wire.MsgGetEncoded, nil, wire.MsgEncoded, true)
 	if err != nil {

@@ -1,7 +1,9 @@
 package client_test
 
 import (
+	"bytes"
 	"context"
+	"encoding/binary"
 	"fmt"
 	"net"
 	"sync"
@@ -9,6 +11,7 @@ import (
 	"time"
 
 	"repro/internal/server"
+	"repro/internal/wire"
 	"repro/rpx"
 	"repro/rpx/client"
 )
@@ -360,5 +363,89 @@ func BenchmarkSessionsFPS(b *testing.B) {
 			total := float64(sessions * perSession)
 			b.ReportMetric(total/time.Since(start).Seconds(), "frames/sec")
 		})
+	}
+}
+
+// TestPackedMaskFalseReceivesV2: Config.PackedMask is a deprecated no-op.
+// A client that leaves it false still receives every encoded frame as an
+// RPXE v2 container — FRAME_PUSH records and GET_ENCODED replies alike,
+// the latter read off the wire by a probe sending the HELLO such a client
+// sends — byte-identical to the v2 serialization of the frame.
+func TestPackedMaskFalseReceivesV2(t *testing.T) {
+	addr := startServer(t, server.Config{}, server.TCPConfig{})
+	labels := []rpx.RegionLabel{{X: 8, Y: 8, W: 32, H: 24, Stride: 2, Skip: 1}}
+	producer, err := client.Dial(addr, client.Config{W: 64, H: 48, Format: rpx.Gray8, Block: true, PackedMask: false})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer producer.Close()
+	if err := producer.SetRegionLabels(labels); err != nil {
+		t.Fatal(err)
+	}
+	sub, err := client.Dial(addr, client.Config{W: 8, H: 8, Format: rpx.Gray8, PackedMask: false})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sub.Close()
+	st, err := sub.Subscribe(client.SubscribeOptions{Target: producer.ID(), Credit: 8, Batch: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	isV2 := func(b []byte) bool { return len(b) >= 8 && binary.LittleEndian.Uint32(b[4:]) == 2 }
+
+	fr := rpx.NewFrame(64, 48, rpx.Gray8)
+	for i := 0; i < 3; i++ {
+		fillFrame(fr, 5, i)
+		if _, err := producer.Capture(fr); err != nil {
+			t.Fatal(err)
+		}
+		f, err := st.Recv()
+		if err != nil {
+			t.Fatal(err)
+		}
+		ef, err := producer.LastEncoded()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !isV2(f.Raw) || !bytes.Equal(f.Raw, ef.AppendPacked(nil)) {
+			t.Fatalf("frame %d: FRAME_PUSH record is not the frame's v2 container", i)
+		}
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	// The same exchange over a bare connection: there is no codec field
+	// left in HELLO, so this is byte for byte the client's handshake.
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	conn.SetDeadline(time.Now().Add(10 * time.Second))
+	roundTrip := func(typ byte, payload []byte, want byte) []byte {
+		t.Helper()
+		if err := wire.WriteMessage(conn, typ, payload, 0); err != nil {
+			t.Fatal(err)
+		}
+		got, reply, err := wire.ReadMessage(conn, 0)
+		if err != nil || got != want {
+			t.Fatalf("reply to message %d: type %d, err %v; want type %d", typ, got, err, want)
+		}
+		return reply
+	}
+	roundTrip(wire.MsgHello, wire.MarshalHello(wire.Hello{W: 64, H: 48, Format: rpx.Gray8, Block: true}), wire.MsgHelloAck)
+	roundTrip(wire.MsgSetLabels, wire.MarshalLabels(labels), wire.MsgAck)
+	for i := 0; i < 3; i++ {
+		fillFrame(fr, 5, i)
+		roundTrip(wire.MsgCapture, fr.Pix, wire.MsgCaptureAck)
+	}
+	enc := roundTrip(wire.MsgGetEncoded, nil, wire.MsgEncoded)
+	ef, err := producer.LastEncoded() // the same labels and frames
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !isV2(enc) || !bytes.Equal(enc, ef.AppendPacked(nil)) {
+		t.Fatal("GET_ENCODED reply is not the frame's v2 container")
 	}
 }

@@ -39,11 +39,11 @@ func scripted(t *testing.T, wantTyp byte, wantPayload []byte, replyTyp byte, rep
 
 const timeout = 5 * time.Second
 
-var hello = wire.MarshalHello(wire.Hello{W: 16, H: 16, Format: frame.Gray8, Codec: wire.CodecPackedMask})
+var hello = wire.MarshalHello(wire.Hello{W: 16, H: 16, Format: frame.Gray8})
 
 func TestHandshake(t *testing.T) {
 	t.Run("ack", func(t *testing.T) {
-		want := wire.HelloAck{SessionID: 42, MaxPayload: 1 << 20, Codec: wire.CodecPackedMask}
+		want := wire.HelloAck{SessionID: 42, MaxPayload: 1 << 20}
 		raw := wire.MarshalHelloAck(want)
 		conn, br, done := scripted(t, wire.MsgHello, hello, wire.MsgHelloAck, raw)
 		ack, payload, err := Handshake(conn, br, hello, wire.DefaultMaxPayload, timeout)
@@ -82,13 +82,14 @@ func TestHandshake(t *testing.T) {
 	// An acknowledgment from a server speaking a retired revision fails
 	// with the typed *wire.VersionError.
 	t.Run("retired-revision", func(t *testing.T) {
-		raw := wire.MarshalHelloAck(wire.HelloAck{SessionID: 1, MaxPayload: 1 << 20})
-		binary.LittleEndian.PutUint32(raw[12:], 4)
+		// Revision 5's acknowledgment is one byte longer (a codec byte).
+		raw := append(wire.MarshalHelloAck(wire.HelloAck{SessionID: 1, MaxPayload: 1 << 20}), 0)
+		binary.LittleEndian.PutUint32(raw[12:], 5)
 		conn, br, done := scripted(t, wire.MsgHello, hello, wire.MsgHelloAck, raw)
 		_, _, err := Handshake(conn, br, hello, wire.DefaultMaxPayload, timeout)
 		var ve *wire.VersionError
-		if !errors.As(err, &ve) || ve.Got != 4 {
-			t.Fatalf("Handshake on a v4 ack = %v, want *wire.VersionError{Got: 4}", err)
+		if !errors.As(err, &ve) || ve.Got != 5 {
+			t.Fatalf("Handshake on a v5 ack = %v, want *wire.VersionError{Got: 5}", err)
 		}
 		if err := <-done; err != nil {
 			t.Fatal(err)

@@ -62,17 +62,16 @@ type StreamFrame struct {
 	// Dropped is the subscription's cumulative dropped-frame count as of
 	// the push that carried this frame.
 	Dropped uint64
-	// Raw is the encoded frame in the RPXE container framing —
-	// byte-identical to LastEncoded's wire payload for the same frame. Each
+	// Raw is the encoded frame as an RPXE v2 container — byte-identical to
+	// LastEncoded's wire payload for the same frame. Each
 	// frame owns its Raw: Recv copies it out of the connection's read
 	// buffer once, and nothing else references or reuses that memory.
 	Raw []byte
 }
 
 // Decode unpacks the frame's RPXE container in place. The returned frame's
-// pixel payload (and, for the raw container, its mask) shares Raw's
-// memory, so Raw must not be modified while the frame is in use; Decode
-// itself never writes to Raw.
+// pixel payload shares Raw's memory, so Raw must not be modified while the
+// frame is in use; Decode itself never writes to Raw.
 func (f *StreamFrame) Decode() (*rpx.EncodedFrame, error) {
 	return core.ParseEncodedFrame(f.Raw)
 }

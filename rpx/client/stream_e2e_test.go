@@ -81,11 +81,7 @@ func TestStreamPushBasic(t *testing.T) {
 		}
 		lastRaw = f.Raw
 	}
-	var buf bytes.Buffer
-	if _, err := want.WriteTo(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(lastRaw, buf.Bytes()) {
+	if !bytes.Equal(lastRaw, want.AppendPacked(nil)) {
 		t.Fatal("pushed frame bytes differ from the request/reply LastEncoded view")
 	}
 

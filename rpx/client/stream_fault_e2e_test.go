@@ -61,11 +61,7 @@ func (fx *streamFaultFixture) capture(t *testing.T, w, h, n int) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var buf bytes.Buffer
-		if _, err := ef.WriteTo(&buf); err != nil {
-			t.Fatal(err)
-		}
-		fx.want = append(fx.want, buf.Bytes())
+		fx.want = append(fx.want, ef.AppendPacked(nil))
 	}
 }
 

@@ -22,27 +22,28 @@ cd "$(dirname "$0")/.."
 
 # ---------------------------------------------------------------- tier1
 
+# The runner calls each stage inside an `if`, where sh ignores `set -e`, so
+# every command in a stage ends in `|| return 1` to fail its stage.
 stage_tier1() {
     echo "== go vet ./..."
-    go vet ./...
+    go vet ./... || return 1
 
     echo "== go build ./..."
-    go build ./...
+    go build ./... || return 1
 
     echo "== go test -race ./..."
-    go test -race ./...
+    go test -race ./... || return 1
 }
 
 # ---------------------------------------------------------------- alloc
 
 # The steady-state allocation contracts of the pooled hot path (mask
 # popcount, pooled encode, recycled-output decode, ISP frames, wire framing,
-# capture, the policy motion kernel). Deliberately WITHOUT
-# -race — the race runtime changes allocation counts, so these
-# testing.AllocsPerRun assertions are only meaningful in a plain build.
-#
-# The runner calls each stage inside an `if`, where sh ignores `set -e`, so
-# every command below ends in `|| return 1` to fail its stage.
+# capture, the policy motion kernel, the in-place container parse).
+# Deliberately WITHOUT -race — the race runtime changes allocation counts,
+# so these testing.AllocsPerRun assertions are only meaningful in a plain
+# build.
+# Every command ends in `|| return 1` (see stage_tier1).
 stage_alloc() {
     echo "== alloc gate (AllocsPerRun, no -race)"
     go test -count=1 -run='^TestAllocs' \
@@ -55,7 +56,7 @@ stage_alloc() {
 # A short budget per untrusted decode surface, plus the span-fill encoder
 # and the run-length decoder against their per-pixel references. Regressions the fuzzer finds land in
 # testdata/fuzz/ seed corpora, which tier1's -race run then replays forever
-# after. Every target ends in `|| return 1` (see stage_alloc), so any one
+# after. Every target ends in `|| return 1` (see stage_tier1), so any one
 # failing target fails the stage.
 stage_fuzz() {
     FUZZTIME="${FUZZTIME:-10s}"
@@ -220,14 +221,16 @@ stage_smoke() {
 # the committed BENCH_hotpath.json baseline. Only allocs/frame are gated
 # (FPS varies with the host); tolerances are documented in
 # scripts/benchcheck/main.go.
+# Every command ends in `|| return 1` (see stage_tier1); the EXIT trap
+# removes the scratch directory when the stage's subshell exits early.
 stage_bench_check() {
     echo "== bench-check (hotpath allocs vs committed BENCH_hotpath.json)"
-    BC_DIR="$(mktemp -d)"
+    BC_DIR="$(mktemp -d)" || return 1
     trap 'rm -rf "$BC_DIR"' EXIT INT TERM
-    go build -o "$BC_DIR/rpxbench" ./cmd/rpxbench
-    "$BC_DIR/rpxbench" -exp hotpath -scale quick -json "$BC_DIR"
+    go build -o "$BC_DIR/rpxbench" ./cmd/rpxbench || return 1
+    "$BC_DIR/rpxbench" -exp hotpath -scale quick -json "$BC_DIR" || return 1
     go run ./scripts/benchcheck \
-        -baseline BENCH_hotpath.json -candidate "$BC_DIR/BENCH_hotpath.json"
+        -baseline BENCH_hotpath.json -candidate "$BC_DIR/BENCH_hotpath.json" || return 1
     trap - EXIT INT TERM
     rm -rf "$BC_DIR"
 }
